@@ -67,10 +67,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         help="run the conservation auditor on every experiment "
                         "(byte/cycle/event accounting; implies --no-cache; "
                         "exits non-zero on violations)")
-    parser.add_argument("--no-train", action="store_true",
-                        help="disable the frame-train wire fast path and "
-                        "replay the wire with per-batch engine events "
-                        "(byte-identical results, more events)")
     parser.add_argument("--no-express", action="store_true",
                         help="disable the steady-state express lane and "
                         "schedule CPU completions / TCP timers as plain "
@@ -148,9 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("name", help="e.g. fig3a, fig8c, table1")
     audit.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                        help="worker processes (0 = one per CPU; default 1)")
-    audit.add_argument("--no-train", action="store_true",
-                       help="audit the legacy per-event wire path instead of "
-                       "the frame-train fast path")
     audit.add_argument("--no-express", action="store_true",
                        help="audit with the steady-state express lane off")
 
@@ -158,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="record a BENCH_<stamp>.json perf snapshot (also appended to "
         "BENCH_HISTORY.jsonl): engine micro-benchmarks plus per-figure wall "
-        "times and event counts, each figure timed on the fast path "
-        "(frame trains + express lane) and on the legacy per-event path",
+        "times and dispatch counts, each figure timed with the express lane "
+        "on (the default) and with --no-express",
     )
     bench.add_argument("--figures", default="fig3a,fig9a", metavar="NAMES",
                        help="comma-separated panel names to time "
@@ -226,7 +219,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         workload=WorkloadConfig(
             rpc_size_bytes=kb(args.rpc_kb), num_rpc_flows=args.rpc_flows
         ),
-        frame_trains=not args.no_train,
         express=not args.no_express,
     )
 
@@ -244,8 +236,14 @@ def _panel_registry() -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
+    config = _config_from_args(args)
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     stats = RunnerStats()
-    result = run_many([_config_from_args(args)], jobs=jobs, cache=cache,
+    result = run_many([config], jobs=jobs, cache=cache,
                       stats=stats, audit=audit)[0]
     if stats.cache_hits:
         print("(served from result cache)", file=sys.stderr)
@@ -270,8 +268,8 @@ def _audit_exit_code(report) -> int:
     return 1 if report is not None and not report.ok else 0
 
 
-def _run_panel(name: str, jobs, cache, audit: bool, frame_trains: bool = True,
-               trace: bool = False, express: bool = True):
+def _run_panel(name: str, jobs, cache, audit: bool, trace: bool = False,
+               express: bool = True):
     """Run one figure panel under the given runner settings.
 
     Returns ``(table, merged_audit_report)``; the report is ``None`` when
@@ -284,8 +282,7 @@ def _run_panel(name: str, jobs, cache, audit: bool, frame_trains: bool = True,
 
     generator = _panel_registry()[name]
     figures_base.configure(
-        jobs=jobs, cache=cache, audit=audit, frame_trains=frame_trains,
-        trace=trace, express=express,
+        jobs=jobs, cache=cache, audit=audit, trace=trace, express=express,
     )
     figures_base.STATS.reset()
     try:
@@ -305,8 +302,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
     try:
         table, report = _run_panel(
-            args.name, jobs, cache, audit, frame_trains=not args.no_train,
-            express=not args.no_express,
+            args.name, jobs, cache, audit, express=not args.no_express,
         )
     except KeyError:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
@@ -332,8 +328,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     jobs, cache, audit = _runner_settings(args)
     try:
         table, report, trace_report = _run_panel(
-            args.name, jobs, cache, audit,
-            frame_trains=not args.no_train, trace=True,
+            args.name, jobs, cache, audit, trace=True,
             express=not args.no_express,
         )
     except KeyError:
@@ -374,8 +369,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     jobs = None if args.jobs == 0 else args.jobs
     try:
         _, report = _run_panel(
-            args.name, jobs, None, True, frame_trains=not args.no_train,
-            express=not args.no_express,
+            args.name, jobs, None, True, express=not args.no_express,
         )
     except KeyError:
         print(f"unknown panel {args.name!r}; try `python -m repro list`",
@@ -406,8 +400,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("engine micro-benchmarks...", file=sys.stderr)
     engine = bench.engine_metrics(repeat=args.repeat)
 
-    def _time_panel(name: str, frame_trains: bool, express: bool) -> dict:
-        """Best-of-N wall time plus engine event counts for one panel.
+    def _time_panel(name: str, express: bool) -> dict:
+        """Best-of-N wall time plus engine dispatch counts for one panel.
 
         The workload is deterministic, so the event counters are identical
         across repeats; the last repeat's counts serve for all. Bench
@@ -419,8 +413,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             figures_base.STATS.reset()
             # repro-lint: allow[det-wallclock] bench measures host wall time
             start = time.perf_counter()
-            _run_panel(name, jobs=1, cache=None, audit=False,
-                       frame_trains=frame_trains, express=express)
+            _run_panel(name, jobs=1, cache=None, audit=False, express=express)
             wall = time.perf_counter() - start  # repro-lint: allow[det-wallclock] bench measures host wall time
             if wall < best_wall:
                 best_wall = wall
@@ -436,19 +429,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     figures = {}
     for name in names:
         print(f"timing {name}...", file=sys.stderr)
-        row = _time_panel(name, frame_trains=True, express=True)
-        print(f"timing {name} (--no-train --no-express legacy)...",
-              file=sys.stderr)
-        legacy = _time_panel(name, frame_trains=False, express=False)
-        row["legacy"] = {
-            "wall_seconds": legacy["wall_seconds"],
-            "events_fired": legacy["events_fired"],
-            "events_cancelled": legacy["events_cancelled"],
-        }
-        if legacy["events_fired"]:
-            row["events_reduction"] = (
-                1.0 - row["events_fired"] / legacy["events_fired"]
-            )
+        row = _time_panel(name, express=True)
+        print(f"timing {name} (--no-express)...", file=sys.stderr)
+        no_express = _time_panel(name, express=False)
+        del no_express["experiments_run"]
+        row["no_express"] = no_express
+        reduction = bench.events_reduction(row, no_express)
+        if reduction is not None:
+            row["events_reduction"] = reduction
         figures[name] = row
 
     doc = bench.snapshot(figures, engine)
@@ -463,12 +451,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for name, row in figures.items():
         line = (f"{name}: {row['wall_seconds']:.3f}s wall, "
                 f"{row['experiments_run']} experiments, "
-                f"{row['events_fired']:,} events "
-                f"(+{row['express_fired']:,} express)")
+                f"{bench.dispatches(row):,} dispatches "
+                f"({row['events_fired']:,} wheel + {row['express_fired']:,} express)")
         if "events_reduction" in row:
-            line += (f" ({row['events_reduction']:.0%} fewer than legacy's "
-                     f"{row['legacy']['events_fired']:,} in "
-                     f"{row['legacy']['wall_seconds']:.3f}s)")
+            no_express = row["no_express"]
+            line += (f"; {row['events_reduction']:.1%} fewer than --no-express's "
+                     f"{bench.dispatches(no_express):,} in "
+                     f"{no_express['wall_seconds']:.3f}s")
         print(line)
     return 0
 

@@ -186,24 +186,17 @@ class ExperimentConfig:
     steering: SteeringMode = SteeringMode.RSS  # used when aRFS is off
     cost_overrides: dict = field(default_factory=dict)
 
-    # Simulator-implementation switch, not an experiment parameter: carry
-    # wire batches as lazily-settled frame trains (fewer engine events) or
-    # as the legacy per-batch event pipeline. Results are identical by
-    # construction (enforced by the golden-digest gate and the train
-    # equivalence property tests), so the flag is excluded from the
-    # content-addressed cache key / canonical dict.
-    frame_trains: bool = field(default=True, metadata={"cache_key": False})
-
-    # Companion switch one level up: the steady-state express lane
-    # (DESIGN.md §13) routes CPU job completions and chased timer deadlines
-    # through the engine's off-wheel dispatch heap, fast-forwarding whole
-    # ACK-clocked rounds of quiescent bulk flows. Byte-identical by
-    # construction (same golden-digest + equivalence-test gates as
-    # frame_trains), so it is likewise excluded from the cache key.
+    # Simulator-implementation switch, not an experiment parameter: the
+    # steady-state express lane (DESIGN.md §13) routes CPU job completions
+    # and chased timer deadlines through the engine's off-wheel dispatch
+    # heap, fast-forwarding whole ACK-clocked rounds of quiescent bulk flows.
+    # Results are identical by construction (enforced by the golden-digest
+    # gate and the express equivalence property tests), so the flag is
+    # excluded from the content-addressed cache key / canonical dict.
     # ``repro ... --no-express`` is the escape hatch.
     express: bool = field(default=True, metadata={"cache_key": False})
 
-    # Opt-in per-stage latency tracing (DESIGN.md §12). Unlike frame_trains
+    # Opt-in per-stage latency tracing (DESIGN.md §12). Unlike express
     # this IS part of the cache key: traced results carry an extra payload
     # section, so they must not be served from (or poison) untraced cache
     # entries.
@@ -257,7 +250,7 @@ class ExperimentConfig:
 #: :func:`_canonicalize` actually consults it. Only simulator-implementation
 #: switches whose output equivalence is gated elsewhere (golden digests +
 #: equivalence property tests) belong here.
-CACHE_KEY_EXCLUDED = frozenset({"frame_trains", "express"})
+CACHE_KEY_EXCLUDED = frozenset({"express"})
 
 
 def _canonicalize(value: object) -> object:

@@ -182,14 +182,8 @@ class ConservationAuditor:
 
     def audit(self) -> AuditReport:
         """Run all checks; returns the (reusable) report."""
-        # Flush the frame-train pipelines first so wire counters reflect
-        # every drain and delivery due by now (idempotent: the experiment
-        # already settles at its run boundaries).
-        for pipeline in getattr(self.experiment, "pipelines", ()):
-            pipeline.settle_final(self.experiment.engine.now)
         self._audit_bytes()
         self._audit_wire()
-        self._audit_trains()
         self._audit_cycles()
         self._audit_engine()
         self._audit_metrics()
@@ -298,44 +292,6 @@ class ConservationAuditor:
                 link.bytes_delivered,
                 rx_nic.rx_bytes + rx_nic.total_rx_drop_bytes(),
                 "delivered wire bytes != NIC accepted + descriptor-drop bytes",
-            )
-
-    # --- frame-train pipeline conservation -------------------------------------------
-
-    def _audit_trains(self) -> None:
-        """The in-flight side of the wire identities, train-resolved.
-
-        A train of N frames must account as N frames: the link's in-flight
-        counters have to equal the frame/byte totals of the trains still
-        queued in the pipeline (mid-train switch drops were counted at the
-        drain, so they never appear here), and any pending drain must lie in
-        the future — a past-due drain would mean settlement was skipped.
-        """
-        exp = self.experiment
-        now = exp.engine.now
-        for pipeline in getattr(exp, "pipelines", ()):
-            where = pipeline.link.name
-            self._check_exact(
-                "train.inflight_frames", where,
-                pipeline.link.frames_in_flight,
-                sum(len(train.frames) for train in pipeline.inflight),
-                "link in-flight frames != frames aboard queued trains",
-            )
-            self._check_exact(
-                "train.inflight_bytes", where,
-                pipeline.link.bytes_in_flight,
-                sum(train.wire_bytes for train in pipeline.inflight),
-                "link in-flight bytes != bytes aboard queued trains",
-            )
-            self._check_true(
-                "train.arrivals_future", where,
-                all(train.arrival_ns > now for train in pipeline.inflight),
-                f"settled past-due train left queued at t={now}",
-            )
-            self._check_true(
-                "train.drain_future", where,
-                pipeline.drain_due is None or pipeline.drain_due > now,
-                f"drain_due={pipeline.drain_due} not after t={now}",
             )
 
     # --- cycle conservation -----------------------------------------------------------

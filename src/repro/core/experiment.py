@@ -101,31 +101,6 @@ class Experiment:
         to_sender.trace = self.receiver.trace
         self.link_to_receiver = to_receiver
         self.link_to_sender = to_sender
-        self.pipelines = []
-        if self.config.frame_trains:
-            from ..hardware.train import TrainPipeline
-
-            self.pipelines = [
-                TrainPipeline(
-                    self.engine, self.sender.nic, to_receiver, self.receiver.nic
-                ),
-                TrainPipeline(
-                    self.engine, self.receiver.nic, to_sender, self.sender.nic
-                ),
-            ]
-            self.pipelines[0].peer = self.pipelines[1]
-            self.pipelines[1].peer = self.pipelines[0]
-            # Job submission and completion are the only ways core state
-            # interacts with the rest of the host: hooking each core to the
-            # pipeline delivering *into* its host lets deferred wire
-            # deliveries replay just in time, at their original virtual
-            # times, before any core state they depend on can change.
-            for host, pipeline in (
-                (self.receiver, self.pipelines[0]),
-                (self.sender, self.pipelines[1]),
-            ):
-                for core in host.topology.cores:
-                    core._rx_settle = pipeline
 
     def _placement_order(self, host: Host) -> list:
         if self.config.numa_policy is NumaPolicy.NIC_REMOTE and host is self.receiver:
@@ -206,12 +181,6 @@ class Experiment:
         """Warm up, measure, and assemble the result."""
         cfg = self.config
         self.engine.run(until=cfg.warmup_ns)
-        # Flush the virtual wire before snapshotting counters (and before the
-        # resets: settlement may start jobs whose warmup charges must be
-        # wiped, exactly as their event-path counterparts were).
-        for pipeline in self.pipelines:
-            pipeline.settle_final(cfg.warmup_ns)
-            pipeline.rearm()
         # Steady state reached: discard warmup measurements. Core busy-cycle
         # counters reset in the same instant as the profiler so the two stay
         # comparable (both record charges at job start).
@@ -225,8 +194,6 @@ class Experiment:
 
         end_ns = cfg.warmup_ns + cfg.duration_ns
         self.engine.run(until=end_ns)
-        for pipeline in self.pipelines:
-            pipeline.settle_final(end_ns)
         result = self._collect(cfg.duration_ns, snapshot)
         if self.audit_enabled:
             from .audit import audit_experiment

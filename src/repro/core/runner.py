@@ -35,7 +35,7 @@ class RunnerStats:
     cache_misses: int = 0
     #: Engine events fired / cancelled, summed over every experiment actually
     #: simulated (cache hits contribute nothing — no engine ran). The bench
-    #: harness reads these to track the frame-train event-count savings.
+    #: harness reads these to compare dispatches across execution modes.
     events_fired: int = 0
     events_cancelled: int = 0
     #: Express-lane dispatches (off-wheel), same summation rules.

@@ -43,15 +43,12 @@ _JOBS: Optional[int] = 1
 _CACHE: Optional[ResultCache] = None
 #: Run every experiment with the conservation auditor (disables the cache).
 _AUDIT: bool = False
-#: Wire simulation mode: frame-train fast path (default) or legacy per-event
-#: replay (``repro ... --no-train``). Results are byte-identical either way;
-#: the flag exists as an escape hatch and for the bench cross-check.
-_FRAME_TRAINS: bool = True
-#: Steady-state express lane (``repro ... --no-express`` disables). Like
-#: ``_FRAME_TRAINS``: byte-identical either way, escape hatch + bench knob.
+#: Steady-state express lane (``repro ... --no-express`` disables). Results
+#: are byte-identical either way; the flag exists as an escape hatch and for
+#: the bench cross-check.
 _EXPRESS: bool = True
 #: Run every experiment with per-stage latency tracing (``repro trace``).
-#: Part of the config (and hence the cache key), unlike ``_FRAME_TRAINS``.
+#: Part of the config (and hence the cache key), unlike ``_EXPRESS``.
 _TRACE: bool = False
 #: Counters accumulated across every figure run since the last reset.
 STATS = RunnerStats()
@@ -65,16 +62,14 @@ def configure(
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     audit: bool = False,
-    frame_trains: bool = True,
     trace: bool = False,
     express: bool = True,
 ) -> None:
     """Set the runner used by every subsequent figure generation."""
-    global _JOBS, _CACHE, _AUDIT, _FRAME_TRAINS, _TRACE, _EXPRESS
+    global _JOBS, _CACHE, _AUDIT, _TRACE, _EXPRESS
     _JOBS = jobs
     _CACHE = cache
     _AUDIT = audit
-    _FRAME_TRAINS = frame_trains
     _TRACE = trace
     _EXPRESS = express
     AUDIT_REPORTS.clear()
@@ -89,13 +84,13 @@ def runtime() -> tuple:
 def prepare(
     config: ExperimentConfig, warmup_ns: Optional[int] = None
 ) -> ExperimentConfig:
-    """Apply the figure-standard duration/warmup (and wire mode) to
-    ``config``."""
+    """Apply the figure-standard duration/warmup (and the configured express
+    and trace switches) to ``config``."""
     if warmup_ns is None:
         warmup_ns = WARMUP_NS[config.pattern]
     return config.replace(
         duration_ns=DURATION_NS, warmup_ns=warmup_ns,
-        frame_trains=_FRAME_TRAINS, trace=_TRACE, express=_EXPRESS,
+        trace=_TRACE, express=_EXPRESS,
     )
 
 

@@ -27,7 +27,7 @@ PRIORITY_APP = 1
 class Job:
     """A batch of cycle charges executed atomically on one core."""
 
-    __slots__ = ("context", "priority", "items", "on_done", "seq", "vt")
+    __slots__ = ("context", "priority", "items", "on_done", "seq")
 
     def __init__(
         self,
@@ -43,11 +43,6 @@ class Job:
         self.items = items
         self.on_done = on_done
         self.seq = 0  # assigned by the core for FIFO ordering
-        # Virtual submission time. Normally the instant of ``submit``; the
-        # frame-train fast path submits deferred work stamped with the instant
-        # the legacy per-event path would have used, so FIFO order within a
-        # priority stays identical to the per-event replay.
-        self.vt = 0
 
     def total_cycles(self) -> float:
         return sum(cycles for _, cycles in self.items)
@@ -55,8 +50,6 @@ class Job:
     def __lt__(self, other: "Job") -> bool:
         if self.priority != other.priority:
             return self.priority < other.priority
-        if self.vt != other.vt:
-            return self.vt < other.vt
         return self.seq < other.seq
 
 
@@ -87,16 +80,6 @@ class Core:
         self._last_context: Optional[Hashable] = None
         self._seq = 0
         self.context_switches = 0
-        #: Finish time of the running job (stale once idle — check ``busy``).
-        #: The frame-train wake policy reads it to decide whether a punctual
-        #: wire action is already covered by this core's next finish event.
-        self.busy_until = 0
-        #: Rx-side frame-train pipeline of this core's host, or None. When
-        #: set, job submission and completion settle the wire first: both are
-        #: the only ways core state interacts with the rest of the host, so
-        #: settling here replays any deferred deliveries (with their original
-        #: virtual times) before the core state they depend on can change.
-        self._rx_settle = None
         #: Every cycle this core has accounted for (jobs, context switches,
         #: inline charges). Mirrors the profiler's per-core total by
         #: construction; the conservation auditor cross-checks the two.
@@ -104,30 +87,13 @@ class Core:
 
     # --- submission ----------------------------------------------------------
 
-    def submit(self, job: Job, vt: Optional[int] = None) -> None:
-        """Queue ``job``; starts immediately if the core is idle.
-
-        ``vt`` stamps a virtual submission time (frame-train deferred work);
-        plain submissions use the current instant. Deferred wire deliveries
-        are settled first so they enter the queue ahead of this job, exactly
-        as their per-event replay would have.
-        """
-        pipeline = self._rx_settle
-        if pipeline is not None and (
-            pipeline.inflight or pipeline.drain_due is not None
-        ):
-            engine = self.engine
-            pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
+    def submit(self, job: Job) -> None:
+        """Queue ``job``; starts immediately if the core is idle."""
         self._seq += 1
         job.seq = self._seq
-        job.vt = self.engine.now if vt is None else vt
         heapq.heappush(self._queue, job)
         if self._running is None:
-            self._start_next(job.vt)
-        if pipeline is not None and pipeline.plan_core is self:
-            # The wake plan assumed this core stayed untouched (idle-core
-            # stand-in): re-plan with the core's new state.
-            pipeline.rearm()
+            self._start_next()
 
     def submit_work(
         self,
@@ -135,16 +101,15 @@ class Core:
         items: Sequence[Tuple[str, float]],
         on_done: Optional[Callable[[], None]] = None,
         priority: int = PRIORITY_APP,
-        vt: Optional[int] = None,
     ) -> Job:
         """Convenience wrapper building and submitting a :class:`Job`."""
         job = Job(context, items, on_done, priority)
-        self.submit(job, vt)
+        self.submit(job)
         return job
 
     # --- execution ---------------------------------------------------------------
 
-    def _start_next(self, start_vt: Optional[int] = None) -> None:
+    def _start_next(self) -> None:
         if not self._queue:
             return
         job = heapq.heappop(self._queue)
@@ -164,42 +129,18 @@ class Core:
 
         duration_ns = max(1, int(cycles / self.freq_hz * 1e9))
         engine = self.engine
-        now = engine.now
-        start = now if start_vt is None else start_vt
-        finish_t = start + duration_ns
-        self.busy_until = finish_t
-        if finish_t > now:
-            # Completions are ideal express-lane cargo: the finish time and
-            # ordering ticket are final at this instant and the event is
-            # never cancelled. A quiescent ACK-clocked round is a chain of
-            # these, so routing them off-wheel is what lets the engine
-            # fast-forward whole rounds (DESIGN.md §13).
-            if engine.express_enabled:
-                engine.express_at(finish_t, self._finish, job)
-            else:
-                engine.schedule_at(finish_t, self._finish, job)
-        elif self._rx_settle is not None:
-            # Virtual start whose finish lands at this very instant (the
-            # frame-train wake stands in for the finish event): the pipeline
-            # runs it once every earlier delivery has been replayed. ``start``
-            # rides along as the insertion stamp the legacy finish event
-            # would have carried (finish events are scheduled when their job
-            # starts) — the settle loop presents it as ``current_inserted_at``
-            # so same-instant ordering decisions match the per-event path.
-            self._rx_settle._pending_finishes.append((finish_t, self, job, start))
-        else:  # pragma: no cover - virtual starts only exist with a pipeline
-            self._finish(job)
+        finish_t = engine.now + duration_ns
+        # Completions are ideal express-lane cargo: the finish time and
+        # ordering ticket are final at this instant and the event is never
+        # cancelled. A quiescent ACK-clocked round is a chain of these, so
+        # routing them off-wheel is what lets the engine fast-forward whole
+        # rounds (DESIGN.md §13).
+        if engine.express_enabled:
+            engine.express_at(finish_t, self._finish, job)
+        else:
+            engine.schedule_at(finish_t, self._finish, job)
 
     def _finish(self, job: Job) -> None:
-        pipeline = self._rx_settle
-        if pipeline is not None and (
-            pipeline.inflight or pipeline.drain_due is not None
-        ):
-            # Deferred deliveries logically precede this completion: replay
-            # them (virtual submissions land in the queue) before picking the
-            # next job.
-            engine = self.engine
-            pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
         assert self._running is job
         self._running = None
         if job.on_done is not None:

@@ -112,36 +112,30 @@ class Link:
         self.frames_delivered = 0
         self.bytes_delivered = 0
 
-    def backlog_bytes_at(self, vt: int) -> int:
-        """Bytes queued for serialization as seen at virtual time ``vt``."""
-        pending_ns = max(0, self._free_at - vt)
-        return int(pending_ns * self.bandwidth_bps / 8e9)
-
     def backlog_bytes(self) -> int:
         """Bytes queued for serialization right now (virtual-output queue)."""
-        return self.backlog_bytes_at(self.engine.now)
+        pending_ns = max(0, self._free_at - self.engine.now)
+        return int(pending_ns * self.bandwidth_bps / 8e9)
 
-    def serialize_at(
-        self, frames: Sequence[Frame], vt: int
-    ) -> "tuple[List[Frame], int, int]":
-        """Serialize ``frames`` starting no earlier than virtual time ``vt``.
+    def transmit(self, frames: Sequence[Frame], deliver: Callable[[List[Frame]], None]) -> None:
+        """Serialize ``frames`` and deliver survivors to the far end.
 
-        Returns ``(survivors, survivor_bytes, finish_t)`` where ``finish_t``
-        is when the last frame leaves the wire. Updates the sent / dropped /
-        marked counters and advances ``_free_at``, drawing switch loss and
-        ECN decisions in frame order — but does *not* touch the in-flight
-        counters or schedule delivery; the caller owns arrival. The legacy
-        :meth:`transmit` and the frame-train pipeline (which replays deferred
-        drains at their original virtual times) both funnel through here so
-        the two paths consume the loss RNG stream identically.
+        The whole burst is delivered in one event at the time the *last* frame
+        finishes serialization (plus propagation and switch forwarding); this
+        batches what would otherwise be one event per MTU frame without
+        changing steady-state rates. Updates the sent / dropped / marked
+        counters and advances ``_free_at``, drawing switch loss and ECN
+        decisions in frame order.
         """
-        t = max(vt, self._free_at)
+        if not frames:
+            return
+        start = self.engine.now
+        t = max(start, self._free_at)
         bandwidth = self.bandwidth_bps
         drop = self.has_switch and self.loss_rate > 0
         mark = self.has_switch and self.ecn_threshold_bytes > 0
-        # Tracing stamps use the running per-frame finish time ``t``, never
-        # ``engine.now``: the train pipeline replays deferred drains here
-        # after the instant they model, and ``t`` is the virtual truth.
+        # Tracing stamps use the running per-frame finish time ``t``: the
+        # moment each frame's last bit leaves the wire.
         trace = self.trace
         wire_record = trace.stage("tx_wire").record if trace is not None else None
         tt_cache = self._tt_cache
@@ -163,68 +157,53 @@ class Link:
                 dt_sum += dt
                 bytes_sent += wire_bytes
             t += dt_sum
-            self.frames_sent += len(frames)
-            self.bytes_sent += bytes_sent
-            self._free_at = t
-            return list(frames), bytes_sent, t
-        delivered: List[Frame] = []
-        append = delivered.append
-        nsent = 0
-        bytes_sent = 0
-        delivered_bytes = 0
-        for frame in frames:
-            wire_bytes = frame.wire_bytes
-            dt = tt_get(wire_bytes)
-            if dt is None:
-                dt = tt_cache[wire_bytes] = transmission_time_ns(
-                    wire_bytes, bandwidth
-                )
-            t += dt
-            nsent += 1
-            bytes_sent += wire_bytes
-            if drop and self.rng.random() < self.loss_rate:
-                self.frames_dropped += 1
-                self.bytes_dropped += wire_bytes
-                continue
-            if mark:
-                # queue this frame observed = everything serialized ahead of it
-                queued_bytes = int((t - vt) * bandwidth / 8e9)
-                if queued_bytes > self.ecn_threshold_bytes:
-                    frame.ecn_marked = True
-                    self.frames_marked += 1
-            if wire_record is not None and frame.trace_ns is not None:
-                wire_record(t - frame.trace_ns)
-                frame.trace_ns = t  # stamp wire exit for the Rx-side stage
-            append(frame)
-            delivered_bytes += wire_bytes
+            nsent = len(frames)
+            delivered = list(frames)
+            delivered_bytes = bytes_sent
+        else:
+            delivered = []
+            append = delivered.append
+            nsent = 0
+            bytes_sent = 0
+            delivered_bytes = 0
+            for frame in frames:
+                wire_bytes = frame.wire_bytes
+                dt = tt_get(wire_bytes)
+                if dt is None:
+                    dt = tt_cache[wire_bytes] = transmission_time_ns(
+                        wire_bytes, bandwidth
+                    )
+                t += dt
+                nsent += 1
+                bytes_sent += wire_bytes
+                if drop and self.rng.random() < self.loss_rate:
+                    self.frames_dropped += 1
+                    self.bytes_dropped += wire_bytes
+                    continue
+                if mark:
+                    # queue this frame observed = everything serialized ahead of it
+                    queued_bytes = int((t - start) * bandwidth / 8e9)
+                    if queued_bytes > self.ecn_threshold_bytes:
+                        frame.ecn_marked = True
+                        self.frames_marked += 1
+                if wire_record is not None and frame.trace_ns is not None:
+                    wire_record(t - frame.trace_ns)
+                    frame.trace_ns = t  # stamp wire exit for the Rx-side stage
+                append(frame)
+                delivered_bytes += wire_bytes
         self.frames_sent += nsent
         self.bytes_sent += bytes_sent
         self._free_at = t
-        return delivered, delivered_bytes, t
-
-    def arrival_time(self, finish_t: int) -> int:
-        """Arrival time at the far end for a burst finishing at ``finish_t``."""
-        arrival = finish_t + self.propagation_ns
-        if self.has_switch:
-            arrival += self.switch_delay_ns
-        return arrival
-
-    def transmit(self, frames: Sequence[Frame], deliver: Callable[[List[Frame]], None]) -> None:
-        """Serialize ``frames`` and deliver survivors to the far end.
-
-        The whole burst is delivered in one event at the time the *last* frame
-        finishes serialization (plus propagation and switch forwarding); this
-        batches what would otherwise be one event per MTU frame without
-        changing steady-state rates.
-        """
-        if not frames:
-            return
-        delivered, delivered_bytes, t = self.serialize_at(frames, self.engine.now)
         if delivered:
             self.frames_in_flight += len(delivered)
             self.bytes_in_flight += delivered_bytes
+            # Arrival at the far end: last bit out, plus propagation and
+            # switch forwarding.
+            arrival = t + self.propagation_ns
+            if self.has_switch:
+                arrival += self.switch_delay_ns
             self.engine.schedule_at(
-                self.arrival_time(t), self._deliver_batch, deliver, delivered, delivered_bytes
+                arrival, self._deliver_batch, deliver, delivered, delivered_bytes
             )
 
     def _deliver_batch(

@@ -107,15 +107,6 @@ class Nic:
         self._deliver: Optional[Callable[[List[Frame]], None]] = None
         self._tx_flows: Dict[int, Deque[Frame]] = {}
         self._tx_drain_pending = False
-        # Frame-train pipelines (hardware.train.TrainPipeline), wired by the
-        # experiment when config.frame_trains is on; None selects the legacy
-        # per-batch event path.
-        self.tx_pipeline = None  # drains this NIC's _tx_flows
-        self.rx_pipeline = None  # delivers into this NIC's Rx queues
-        #: NAPI contexts on this NIC's queues currently *not* scheduled
-        #: (maintained by NapiContext). The train wake policy's saturated-
-        #: path early-out: zero idle contexts means no wake can be needed.
-        self.idle_napis = 0
         # SideTrace of this NIC's host (None unless tracing), wired by Host.
         self.trace = None
         self._region_counter = 0
@@ -175,17 +166,13 @@ class Nic:
         if self.tx_link is None:
             raise RuntimeError("NIC has no Tx link attached")
         if self.trace is not None:
-            # Doorbell stamp. ``transmit`` always runs inside the driver
-            # job's completion (or a retransmit event), where ``engine.now``
-            # matches the legacy event time in both wire modes.
+            # Doorbell stamp: ``transmit`` runs inside the driver job's
+            # completion (or a retransmit event), at the doorbell instant.
             doorbell = self.engine.now
             kind_data = Frame.KIND_DATA
             for frame in frames:
                 if frame.kind == kind_data:
                     frame.trace_ns = doorbell
-        if self.tx_pipeline is not None:
-            self.tx_pipeline.on_transmit(frames)
-            return
         for frame in frames:
             queue = self._tx_flows.get(frame.flow_id)
             if queue is None:
@@ -219,42 +206,6 @@ class Nic:
                         del self._tx_flows[flow_id]
                         break
                 if len(batch) >= self.TX_BATCH_FRAMES:
-                    break
-        return batch
-
-    def _peek_tx_batch(self) -> List[Frame]:
-        """What :meth:`_compose_tx_batch` *would* pop, without mutating.
-
-        Used by the frame-train pipeline to plan the next train's arrival
-        time ahead of the drain actually settling; must mirror the compose
-        logic exactly (fast path, round snapshots, per-flow exhaustion).
-        """
-        flows = self._tx_flows
-        if not flows:
-            return []
-        batch: List[Frame] = []
-        snapshot = {flow_id: list(queue) for flow_id, queue in flows.items()}
-        taken = dict.fromkeys(snapshot, 0)
-        alive = list(snapshot)
-        limit = self.TX_BATCH_FRAMES
-        if len(alive) == 1:
-            flow_id = alive[0]
-            frames = snapshot[flow_id]
-            take = min(limit, len(frames))
-            batch.extend(frames[:take])
-            taken[flow_id] = take
-            if take == len(frames):
-                alive = []
-        while alive and len(batch) < limit:
-            for flow_id in list(alive):
-                frames = snapshot[flow_id]
-                for _ in range(self.TX_RR_QUANTUM_FRAMES):
-                    batch.append(frames[taken[flow_id]])
-                    taken[flow_id] += 1
-                    if taken[flow_id] == len(frames):
-                        alive.remove(flow_id)
-                        break
-                if len(batch) >= limit:
                     break
         return batch
 
@@ -295,16 +246,12 @@ class Nic:
 
     def _rx_ingest(self, frames: List[Frame], now: int) -> Dict[int, RxQueue]:
         """Steer and DMA ``frames`` that arrived at ``now``; return the
-        touched queues (IRQ notification is the caller's job — the legacy
-        path notifies at the arrival event, the frame-train pipeline when the
-        train settles, stamping the original arrival time either way)."""
+        touched queues (IRQ notification is the caller's job)."""
         touched: Dict[int, RxQueue] = {}
         queue_for = self.steering.queue_for
         lro = self.lro
         dca = self.dca
         trace = self.trace
-        # ``now`` is the arrival virtual time handed in by the caller (the
-        # train pipeline replays ingests late), never ``engine.now``.
         rx_wire_record = trace.stage("wire").record if trace is not None else None
         region_counter = self._region_counter
         rx_frames = 0
@@ -313,7 +260,7 @@ class Nic:
         dca_write = dca.dma_write if dca is not None else None
         dca_node = dca.node_id if dca is not None else -1
         # Steering is fixed for the duration of one ingest (aRFS reprograms
-        # between events, never mid-batch) and train batches are runs of
+        # between events, never mid-batch) and wire batches are runs of
         # same-flow frames, so one (flow -> queue) memo elides most lookups.
         last_flow = -1
         last_queue = None

@@ -169,22 +169,10 @@ class Host:
     def dca_consume(self, region_id: int, nbytes: int):
         if self.nic.dca is None:
             return 0, nbytes
-        # DCA occupancy (and hence eviction hazard) is observable here: DMA
-        # writes from trains that already arrived must land first.
-        pipeline = self.nic.rx_pipeline
-        if pipeline is not None:
-            pipeline.settle(
-                self.engine.now, cur_ins=self.engine.current_inserted_at
-            )
         return self.nic.dca.consume(region_id, nbytes)
 
     def dca_discard(self, region_id: int) -> None:
         if self.nic.dca is not None:
-            pipeline = self.nic.rx_pipeline
-            if pipeline is not None:
-                pipeline.settle(
-                    self.engine.now, cur_ins=self.engine.current_inserted_at
-                )
             self.nic.dca.discard(region_id)
 
     # --- queries -----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ behind the paper's host-latency/BDP findings (§3.1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from ..constants import (
     IRQ_COALESCE_FRAMES,
@@ -46,7 +46,6 @@ class NapiContext:
         # GRO runs in software unless LRO already merged in the NIC.
         self.gro = GroEngine(self.costs, enabled=opts.tso_gro and not opts.lro)
         self.scheduled = False
-        host.nic.idle_napis += 1
         self.polls = 0
         self.irqs = 0
         self._last_activity_ns = -IRQ_IDLE_RESET_NS
@@ -63,48 +62,22 @@ class NapiContext:
         traffic it is held back until a few frames accumulate or the
         coalescing timer expires (throughput mode).
         """
-        self.notify_at(self.host.engine.now)
-
-    def notify_at(self, arrival_ns: int) -> None:
-        """``notify`` evaluated as of ``arrival_ns``.
-
-        The frame-train pipeline may replay a delivery after its arrival
-        instant (only when the replay is unobservable); every time-dependent
-        input here — the idle-reset window, the coalesce deadline, the
-        activity stamp — therefore uses the *arrival* time, so a late replay
-        produces the exact event-time behaviour of the punctual one. State
-        inputs (``pending``, ``_last_activity_ns``) are untouched between
-        arrival and replay by construction: they only change under
-        ``scheduled`` episodes, which a wake-armed pipeline never spans.
-        """
         if self.scheduled:
             return
         self.scheduled = True
-        self.host.nic.idle_napis -= 1
-        recently_active = arrival_ns - self._last_activity_ns < IRQ_IDLE_RESET_NS
-        pending = len(self.rxq.pending)
-        if recently_active and pending < IRQ_COALESCE_FRAMES:
-            raise_at = arrival_ns + IRQ_COALESCE_NS
-            engine = self.host.engine
-            if raise_at <= engine.now:
-                # The coalesce deadline already passed (the pipeline held the
-                # delivery back because the raise needs no event of its own):
-                # run it inline at its virtual time.
-                self._raise_irq(raise_at)
-            else:
-                engine.schedule_at(raise_at, self._raise_irq)
+        engine = self.host.engine
+        recently_active = engine.now - self._last_activity_ns < IRQ_IDLE_RESET_NS
+        if recently_active and len(self.rxq.pending) < IRQ_COALESCE_FRAMES:
+            engine.schedule(IRQ_COALESCE_NS, self._raise_irq)
         else:
-            self._raise_irq(arrival_ns)
+            self._raise_irq()
 
-    def _raise_irq(self, vt: Optional[int] = None) -> None:
-        if vt is None:
-            vt = self.host.engine.now
+    def _raise_irq(self) -> None:
         self.irqs += 1
-        self._last_activity_ns = vt
+        self._last_activity_ns = self.host.engine.now
         items: ChargeItems = [("handle_irq_event", self.costs.irq_cycles)]
         self.core.submit_work(
-            ("softirq", self.core.core_id), items, self._poll, PRIORITY_SOFTIRQ,
-            vt=vt,
+            ("softirq", self.core.core_id), items, self._poll, PRIORITY_SOFTIRQ
         )
 
     def _take_batch(self) -> Tuple[List["RxFrameRecord"], int]:
@@ -130,20 +103,9 @@ class NapiContext:
         return batch, frames
 
     def _poll(self) -> None:
-        # Settle the wire up to this instant before taking a batch: trains
-        # that arrived since the last poll consume descriptors and enqueue
-        # completions exactly as their per-frame arrival events would have
-        # (notify() no-ops while we are scheduled, so timing is unaffected).
-        engine = self.host.engine
-        pipeline = self.host.nic.rx_pipeline
-        if pipeline is not None:
-            pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
         batch, nframes = self._take_batch()
         if not batch:
             self.scheduled = False
-            self.host.nic.idle_napis += 1
-            if pipeline is not None:
-                pipeline.rearm()
             return
         self.polls += 1
         core = self.core
@@ -178,7 +140,7 @@ class NapiContext:
         kind_ack = Frame.KIND_ACK
         trace = host.trace
         # One rx_ring sample per data completion: DMA arrival (the record's
-        # stamped virtual arrival time, train-correct) to this poll instant.
+        # stamped arrival time) to this poll instant.
         ring_record = trace.stage("rx_ring").record if trace is not None else None
         if ring_record is None:
             # Untraced hot path: hand consecutive data records to GRO as one
@@ -241,13 +203,6 @@ class NapiContext:
                 self.host.nic.transmit(ack_frames)
             for target_core, skbs in remote.items():
                 self._forward_to_core(target_core, skbs)
-            # Trains that arrived while the poll job ran must land in the
-            # pending queue before the repoll decision (their per-frame
-            # arrival events fired before this completion in the legacy path).
-            engine = self.host.engine
-            pipeline = self.host.nic.rx_pipeline
-            if pipeline is not None:
-                pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
             if self.rxq.pending:
                 # Budget exhausted with work left: repoll without a new IRQ.
                 self.core.submit_work(
@@ -258,11 +213,6 @@ class NapiContext:
                 )
             else:
                 self.scheduled = False
-                self.host.nic.idle_napis += 1
-                if pipeline is not None:
-                    # This context just went idle: future arrivals need a
-                    # punctual wake to raise the IRQ at the right instant.
-                    pipeline.rearm()
 
         core.submit_work(("softirq", core.core_id), items, done, PRIORITY_SOFTIRQ)
 

@@ -150,7 +150,6 @@ class TcpEndpoint:
         #: Engine serial reserved by the most recent arm — the position the
         #: eager wheel event would have occupied in same-instant ordering.
         self._rto_serial = 0
-        self._rto_inserted_at = 0
         #: Sorted virtual times of outstanding chase entries (strictly
         #: decreasing-min pushes keep them distinct; earliest fires first).
         self._rto_out: List[int] = []
@@ -340,8 +339,7 @@ class TcpEndpoint:
         def done() -> None:
             self._tx_active = False
             if xmit_record is not None:
-                # Job completions fire at the legacy event time in both wire
-                # modes, so engine.now is the NIC-doorbell instant.
+                # This completion is the NIC-doorbell instant.
                 xmit_record(self.engine.now - submit_now)
             self.host.nic.transmit(frames)
             self._arm_rto()
@@ -628,14 +626,10 @@ class TcpEndpoint:
             return
         self._cancel_rto_event()
         self._rto_serial = serial = engine.reserve_serial()
-        self._rto_inserted_at = now = engine.now
-        self._rto_deadline = deadline = now + self._current_rto()
+        self._rto_deadline = deadline = engine.now + self._current_rto()
         out = self._rto_out
         if not out or out[0] > deadline:
-            engine.express_at(
-                deadline, self._rto_express_fire, serial,
-                serial=serial, inserted_at=now,
-            )
+            engine.express_at(deadline, self._rto_express_fire, serial, serial=serial)
             insort(out, deadline)
 
     def _cancel_rto(self) -> None:
@@ -680,7 +674,7 @@ class TcpEndpoint:
         if not out or out[0] > deadline:
             self.engine.express_at(
                 deadline, self._rto_express_fire, self._rto_serial,
-                serial=self._rto_serial, inserted_at=self._rto_inserted_at,
+                serial=self._rto_serial,
             )
             insort(out, deadline)
 
@@ -843,7 +837,7 @@ class TcpEndpoint:
         self.rx_limbo_bytes -= skb.payload_bytes
         if self.trace is not None:
             # Socket-enqueue stamp (read back at drain in do_recv). Runs in
-            # a job completion, so engine.now is exact in both wire modes.
+            # a job completion, so engine.now is the enqueue instant.
             skb.trace_ns = self.engine.now
         self.socket.enqueue(skb)
         waiter = self.socket.waiter
@@ -1036,10 +1030,6 @@ class TcpEndpoint:
         nic = self.host.nic
         local_cache = self.app_core.numa_node == nic.numa_node
         dca = nic.dca
-        if dca is not None and nic.rx_pipeline is not None:
-            # Settle pending DMA writes before reading slice occupancy.
-            engine = self.host.engine
-            nic.rx_pipeline.settle(engine.now, cur_ins=engine.current_inserted_at)
         regions = skb.regions
         taken = 0
         dca_consume = dca.consume if dca is not None else None

@@ -33,7 +33,7 @@ heap one notch above the wheel: work whose firing time and order are fully
 known at registration (CPU job completions, chased timer deadlines) can be
 registered with :meth:`Engine.express_at` and is dispatched straight off the
 heap root — no :class:`Event` object, no wheel insert, no block drain. A
-whole quiescent ACK-clocked round (tx completion → wire train → NAPI poll →
+whole quiescent ACK-clocked round (tx completion → wire batch → NAPI poll →
 ACK processing → next burst) rides the lane as a chain of such entries, so
 the wheel fires roughly one event per round instead of one per job. Ordering
 stays byte-identical to the wheel path: every schedule — wheel or express —
@@ -112,7 +112,6 @@ class Event:
         "cancelled",
         "engine",
         "bucket",
-        "inserted_at",
     )
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
@@ -123,13 +122,6 @@ class Event:
         self.cancelled = False
         self.engine: Optional["Engine"] = None  # set while queued
         self.bucket: Optional[List["Event"]] = None  # wheel slot, while queued
-        #: Virtual time at which this event was scheduled. Same-timestamp
-        #: events fire in scheduling order, so comparing insertion times
-        #: reconstructs the firing order of two events at one instant (exact
-        #: whenever the insertion times differ). The train fast path uses
-        #: this to replay wire arrivals at their legacy position within an
-        #: instant without materializing the arrival event.
-        self.inserted_at = 0
 
     def cancel(self) -> None:
         """Prevent this event from firing. Safe to call multiple times.
@@ -210,13 +202,7 @@ class Engine:
         self._active_block = -1
         self._active_bucket: Optional[List[Event]] = None
         self._drain_index = 0
-        #: Insertion time (``Event.inserted_at``) of the callback currently
-        #: executing, or ``None`` outside the run loop. Lets lazily-replayed
-        #: work decide whether a same-instant wire arrival would have fired
-        #: before or after the current event in the legacy event order.
-        self.current_inserted_at: Optional[int] = None
-        #: Express lane: a heap of ``[time, serial, fn, arg, inserted_at]``
-        #: entries dispatched without Event objects or wheel traffic (see the
+        #: Express lane: a heap of ``[time, serial, fn, arg]`` entries dispatched without Event objects or wheel traffic (see the
         #: module docstring). Entries are never cancelled — producers that
         #: need to move a deadline re-register and treat the stale firing as
         #: a no-op (the chased-timer pattern).
@@ -265,7 +251,6 @@ class Engine:
             event = Event(time, 0, fn, args)
         self._seq = seq = self._seq + 1
         event.seq = seq
-        event.inserted_at = self.now
         event.engine = self
         self._queued += 1
         # Inlined _insert (this is the hottest producer path).
@@ -326,7 +311,6 @@ class Engine:
             event = Event(time, 0, fn, args)
         self._seq = seq = self._seq + 1
         event.seq = seq
-        event.inserted_at = self.now
         event.engine = self
         self._queued += 1
         block = time >> _PRE_SHIFT
@@ -413,36 +397,32 @@ class Engine:
         fn: Callable[..., Any],
         arg: Any = None,
         serial: Optional[int] = None,
-        inserted_at: Optional[int] = None,
     ) -> None:
         """Register ``fn(arg)`` (or ``fn()`` when ``arg`` is None) on the
         express lane for absolute time ``time``.
 
         No handle is returned: lane entries cannot be cancelled. ``serial``
-        and ``inserted_at`` replay a ticket reserved earlier (see
-        :meth:`reserve_serial`); by default the entry is ticketed here, like
-        a plain schedule. An entry whose block is already being drained is
-        materialized immediately so it fires in this very pass.
+        replays a ticket reserved earlier (see :meth:`reserve_serial`); by
+        default the entry is ticketed here, like a plain schedule. An entry
+        whose block is already being drained is materialized immediately so
+        it fires in this very pass.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         if serial is None:
             self._seq = serial = self._seq + 1
-            inserted_at = self.now
         self.express_registered += 1
         if self._draining and (time >> _PRE_SHIFT) == self._active_block:
-            self._materialize(time, serial, fn, arg, inserted_at, mid_drain=True)
+            self._materialize(time, serial, fn, arg, mid_drain=True)
             return
-        heapq.heappush(self._express, [time, serial, fn, arg, inserted_at])
+        heapq.heappush(self._express, [time, serial, fn, arg])
 
-    def _materialize(
-        self, time, serial, fn, arg, inserted_at, mid_drain=False
-    ) -> None:
+    def _materialize(self, time, serial, fn, arg, mid_drain=False) -> None:
         """Turn one express entry into a real wheel event (shared block).
 
-        The event keeps the entry's original serial and insertion stamp, so
-        the block's (time, serial) sort puts it exactly where the legacy
-        schedule call would have.
+        The event keeps the entry's original serial, so the block's
+        (time, serial) sort puts it exactly where the legacy schedule call
+        would have.
         """
         free = self._free
         args = () if arg is None else (arg,)
@@ -455,7 +435,6 @@ class Engine:
         else:
             event = Event(time, 0, fn, args)
         event.seq = serial
-        event.inserted_at = inserted_at
         event.engine = self
         self._queued += 1
         self.express_materialized += 1
@@ -646,10 +625,9 @@ class Engine:
 
         Express-lane entries interleave with wheel events here: a stretch of
         lane entries strictly ahead of all wheel traffic dispatches straight
-        off the lane heap (no Event, no block drain — the RoundTrain fast
-        path), while an entry sharing a 256 ns block with wheel events is
-        materialized into that block so the (time, serial) sort restores
-        exact legacy firing order.
+        off the lane heap (no Event, no block drain), while an entry sharing
+        a 256 ns block with wheel events is materialized into that block so
+        the (time, serial) sort restores exact legacy firing order.
         """
         self._running = True
         self._stopped = False
@@ -710,11 +688,9 @@ class Engine:
                     if self._cursor < block_start:
                         # Safe jump (the search above proved the skipped
                         # region empty); keeps same-instant schedules in
-                        # level 0 where has_pending_now and the next
-                        # iteration look for them.
+                        # level 0 where the next iteration looks for them.
                         self._cursor = block_start
                     self.now = time
-                    self.current_inserted_at = entry[4]
                     xfired += 1
                     fn = entry[2]
                     arg = entry[3]
@@ -731,9 +707,7 @@ class Engine:
                     block_end = self._cursor | _BLOCK_MASK
                     while express and express[0][0] <= block_end:
                         entry = heappop(express)
-                        self._materialize(
-                            entry[0], entry[1], entry[2], entry[3], entry[4]
-                        )
+                        self._materialize(entry[0], entry[1], entry[2], entry[3])
                         materialized = True
                 if len(bucket) == 1:
                     # Single-occupant block (the common case for sparse
@@ -761,7 +735,6 @@ class Engine:
                             event.args = ()
                         continue
                     self.now = time
-                    self.current_inserted_at = event.inserted_at
                     fired += 1
                     fn = event.fn
                     args = event.args
@@ -816,7 +789,6 @@ class Engine:
                             event.args = ()
                         continue
                     self.now = event.time
-                    self.current_inserted_at = event.inserted_at
                     self._queued -= 1
                     fired += 1
                     fn = event.fn
@@ -851,7 +823,6 @@ class Engine:
             self._draining = False
             self._active_block = -1
             self._active_bucket = None
-            self.current_inserted_at = None
             self.events_fired += fired
             self.express_fired += xfired
         if until is not None and self.now < until:
@@ -864,43 +835,6 @@ class Engine:
         """Number of queued, non-cancelled events (express entries
         included — they are pending work like any other). O(1)."""
         return self._queued - self._cancelled_in_queue + len(self._express)
-
-    def has_pending_now(self, ignore=()) -> bool:
-        """True when another live event is still queued for the *current*
-        instant (``time == now``), excluding any event in ``ignore``.
-
-        All events sharing a timestamp live in one level-0 block: events
-        queued before the block drain sit in the active bucket, and events
-        scheduled for ``now`` mid-drain are insorted ahead of the drain
-        index — so scanning the drain tail (or, on the single-occupant fast
-        path, the block's slot list) is exhaustive. Express entries for the
-        current instant sit at the lane-heap root (time is the primary key;
-        same-block entries are materialized before a drain, so none can hide
-        mid-drain). Used by the train wake to defer same-instant deliveries
-        to the end of the instant.
-        """
-        now = self.now
-        express = self._express
-        if express and express[0][0] == now:
-            return True
-        if (
-            self._draining
-            and self._active_bucket is not None
-            and (now >> _PRE_SHIFT) == self._active_block
-        ):
-            tail = self._active_bucket[self._drain_index :]
-        else:
-            bucket = self._slots[0][(now >> _PRE_SHIFT) & _WHEEL_MASK]
-            tail = bucket if bucket else ()
-        for event in tail:
-            if (
-                event is not None
-                and not event.cancelled
-                and event.time == now
-                and event not in ignore
-            ):
-                return True
-        return False
 
     def _iter_queued(self):
         """Every queued event (wheel slots in level order, then the heap).

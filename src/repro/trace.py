@@ -10,19 +10,15 @@ reservoir cap (a 64-bucket vector absorbs any sample count exactly), merge by
 elementwise addition (associative, so ``run_many`` worker fan-out composes in
 any order), and round-trip losslessly through the result export.
 
-Stamping rules (what makes this frame-train-correct):
+Stamping rules:
 
 * ``engine.now`` read inside a CPU job's ``done()`` callback, or in a syscall
-  path, equals the legacy event time in both wire modes — the train
-  pipeline's ``_pending_finishes`` mechanism only defers finishes due at the
-  *current* instant, so ``done()`` always runs at the job's finish time.
-* Train replay entry points (``Link.serialize_at``, ``Nic._rx_ingest``) may
-  execute after the instant they model; hooks there must use the *virtual*
-  time handed in (``vt`` / the arrival), never ``engine.now``.
+  path, is the job's finish time (or the syscall instant).
+* ``Link.transmit`` serializes a whole batch in one call, so its hook stamps
+  each frame with the running per-frame finish time, not ``engine.now``.
 
-Traced results are therefore byte-identical with and without ``--no-train``
-(property-tested), and untraced runs are untouched: every hook is guarded by
-one ``is not None`` attribute check on a reference that is ``None`` unless
+Untraced runs are untouched (property-tested): every hook is guarded by one
+``is not None`` attribute check on a reference that is ``None`` unless
 tracing was requested.
 
 The internal ``e2e`` stream repeats the copy-latency measurement (NAPI poll

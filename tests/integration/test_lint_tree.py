@@ -49,10 +49,10 @@ class TestCleanTree:
 class TestHistoricalBugShapes:
     def test_deleting_express_from_cache_key_excluded_is_caught(self):
         sources = load_tree_sources()
-        target = 'CACHE_KEY_EXCLUDED = frozenset({"frame_trains", "express"})'
+        target = 'CACHE_KEY_EXCLUDED = frozenset({"express"})'
         assert target in sources["config.py"]
         sources["config.py"] = sources["config.py"].replace(
-            target, 'CACHE_KEY_EXCLUDED = frozenset({"frame_trains"})'
+            target, "CACHE_KEY_EXCLUDED = frozenset()"
         )
         report = run_on(sources)
         new = [f for f in report.baseline.new if f.rule == "key-marked-not-declared"]

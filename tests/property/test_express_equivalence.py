@@ -1,19 +1,16 @@
-"""Steady-state express lane vs wheel path, four-way, on random configs.
+"""Steady-state express lane vs wheel path, on random configs.
 
 The express lane (``Engine.express_at`` + the quiescence gate in
 ``repro.kernel.tcp.express``) fast-forwards whole ACK-clocked rounds of
 quiescent bulk flows by dispatching CPU job completions and lazily-chased RTO
 deadlines straight off a deadline-sorted side heap, skipping timer-wheel
 insertion and cascade for the events that dominate steady state. The promise
-is the same as the frame-train pipeline's: *bit-identical results* — every
-exported metric, every latency reservoir sample, every RNG draw — for any
-configuration, with fewer engine events fired.
+is *bit-identical results* — every exported metric, every latency reservoir
+sample, every RNG draw — for any configuration, with fewer wheel events
+fired.
 
-Because the express lane composes with frame trains (trains batch the wire,
-the express lane batches the clock), these tests run each random config in
-all FOUR mode combinations — express/no-express x train/no-train — and
-require full observable agreement across the square, plus a clean
-conservation audit in every mode.
+These tests run each random config with the lane on and off and require
+full observable agreement, plus a clean conservation audit in both modes.
 """
 
 from hypothesis import given, settings
@@ -33,10 +30,8 @@ from repro.core.export import result_to_dict
 from repro.units import msec
 
 
-def _run_mode(config: ExperimentConfig, express: bool, frame_trains: bool):
-    experiment = Experiment(
-        config.replace(express=express, frame_trains=frame_trains), audit=True
-    )
+def _run_mode(config: ExperimentConfig, express: bool):
+    experiment = Experiment(config.replace(express=express), audit=True)
     result = experiment.run()
     payload = result_to_dict(result)
     reservoirs = {
@@ -98,41 +93,26 @@ def express_configs(draw):
 
 @settings(max_examples=8, deadline=None)
 @given(config=express_configs())
-def test_express_lane_is_observably_identical_four_ways(config):
-    # (express, frame_trains) over the full square. The (False, False) cell is
-    # the legacy per-event pipeline — the reference everything must equal.
-    modes = {
-        (express, trains): _run_mode(config, express, trains)
-        for express in (True, False)
-        for trains in (True, False)
-    }
-    ref_payload, ref_samples, ref_events, _ = modes[(False, False)]
+def test_express_lane_is_observably_identical_two_ways(config):
+    # The lane-off run is the per-event reference the lane must equal.
+    payload, samples, events, express_fired = _run_mode(config, True)
+    ref_payload, ref_samples, ref_events, ref_express_fired = _run_mode(config, False)
     ref_audit = ref_payload.pop("audit")
     assert ref_audit["ok"], ref_audit
+    audit = payload.pop("audit")
+    assert audit["ok"], audit
 
-    for key, (payload, samples, events, express_fired) in modes.items():
-        if key == (False, False):
-            continue
-        audit = payload.pop("audit")
-        # Every exported number — throughput, breakdowns, cache rates,
-        # latency summary, drop/retransmit counters — must match exactly.
-        assert payload == ref_payload, key
-        # Raw reservoirs too: same samples in the same order means every
-        # recording happened at the same instant with the same RNG state.
-        assert samples == ref_samples, key
-        assert audit["ok"], (key, audit)
-        # The point of the fast paths: same physics, never more events.
-        assert events <= ref_events, key
+    # Every exported number — throughput, breakdowns, cache rates, latency
+    # summary, drop/retransmit counters — must match exactly.
+    assert payload == ref_payload
+    # Raw reservoirs too: same samples in the same order means every
+    # recording happened at the same instant with the same RNG state.
+    assert samples == ref_samples
 
     # With the lane off, nothing may route through it; with it on, steady
     # state should actually use it (every config sustains a bulk flow long
-    # enough for at least one quiescent completion to ride the side heap).
-    assert modes[(False, True)][3] == 0
-    assert modes[(False, False)][3] == 0
-    assert modes[(True, True)][3] > 0
-    assert modes[(True, False)][3] > 0
-
-    # Express + trains is the shipping default and must be the cheapest cell
-    # of the square in events fired.
-    assert modes[(True, True)][2] <= modes[(False, True)][2]
-    assert modes[(True, False)][2] <= modes[(False, False)][2]
+    # enough for at least one quiescent completion to ride the side heap),
+    # and the wheel fires no more events than without it.
+    assert ref_express_fired == 0
+    assert express_fired > 0
+    assert events <= ref_events

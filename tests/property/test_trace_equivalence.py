@@ -1,68 +1,104 @@
-"""Tracing is observably free, and trace results are wire-mode invariant.
+"""Tracing is observably free.
 
-Two promises back the ``repro trace`` front door (DESIGN.md §12):
+``repro trace`` (DESIGN.md §12) promises **zero perturbation**: turning
+``ExperimentConfig.trace`` on must not change a single exported number. The
+hooks only *read* virtual time; if a traced run differed anywhere outside
+its ``trace`` payload, the hooks would be leaking into the simulation.
 
-* **Zero perturbation** — turning ``ExperimentConfig.trace`` on must not
-  change a single exported number. The hooks only *read* virtual time; if a
-  traced run differed anywhere outside its ``trace`` payload, the hooks would
-  be leaking into the simulation.
-* **Wire-mode invariance** — the per-stage histograms themselves must be
-  byte-identical with and without the frame-train fast path. The train
-  pipeline replays per-frame effects lazily at the original virtual times, so
-  stamps taken inside ``serialize_at`` / ``_rx_ingest`` (which use passed-in
-  virtual times, never ``engine.now``) land on the same nanoseconds either
-  way.
-
-Both are checked on random configs across the dimensions that stress the
+This is checked on random configs across the dimensions that stress the
 stamping rules: loss (dropped frames must not record wire stages), LRO
-(ring completions merge), RPC interleave (both directions tracing), DCTCP.
-The telescoping identity and the auditor's cross-checks must hold in every
-mode.
+(ring completions merge), small MTU (multi-frame wire batches), RPC
+interleave (both directions tracing), DCTCP (ECN marks on traced frames).
+The telescoping identity and the auditor's cross-checks must hold too.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import (
+    CongestionControl,
+    ExperimentConfig,
+    LinkConfig,
+    OptimizationConfig,
+    TcpConfig,
+    TrafficPattern,
+    WorkloadConfig,
+)
 from repro.core.experiment import Experiment
 from repro.core.export import result_to_dict
+from repro.trace import TraceReport
+from repro.units import msec
 
-from .test_train_equivalence import train_configs
+_OPTS = [
+    OptimizationConfig.none(),
+    OptimizationConfig.tso_gro_only(),
+    OptimizationConfig.tso_gro_jumbo(),
+    OptimizationConfig.all(),
+    OptimizationConfig(tso_gro=True, jumbo=True, arfs=True, lro=True),
+]
+
+_PATTERNS = [
+    (TrafficPattern.SINGLE, 1),
+    (TrafficPattern.ONE_TO_ONE, 2),
+    (TrafficPattern.INCAST, 3),
+    (TrafficPattern.MIXED, 1),
+]
 
 
-def _run(config, trace, frame_trains):
-    experiment = Experiment(
-        config.replace(trace=trace, frame_trains=frame_trains), audit=True
+@st.composite
+def trace_configs(draw):
+    pattern, num_flows = draw(st.sampled_from(_PATTERNS))
+    opts = draw(st.sampled_from(_OPTS))
+    lossy = draw(st.booleans())
+    link = LinkConfig(
+        loss_rate=draw(st.sampled_from([2e-4, 1e-3])) if lossy else 0.0,
+        has_switch=lossy,
     )
-    result = experiment.run()
+    dctcp = draw(st.booleans())
+    tcp = TcpConfig(
+        congestion_control=(
+            CongestionControl.DCTCP if dctcp else CongestionControl.CUBIC
+        )
+    )
+    workload = WorkloadConfig()
+    if pattern is TrafficPattern.MIXED:
+        workload = WorkloadConfig(num_rpc_flows=draw(st.integers(1, 2)))
+    return ExperimentConfig(
+        pattern=pattern,
+        num_flows=num_flows,
+        duration_ns=msec(1),
+        warmup_ns=msec(1),
+        seed=draw(st.integers(1, 5)),
+        opts=opts,
+        tcp=tcp,
+        link=link,
+        workload=workload,
+    )
+
+
+def _run(config, trace):
+    result = Experiment(config.replace(trace=trace), audit=True).run()
     return result, result_to_dict(result)
 
 
 @settings(max_examples=8, deadline=None)
-@given(config=train_configs())
-def test_tracing_perturbs_nothing_and_is_train_invariant(config):
-    _, untraced = _run(config, trace=False, frame_trains=True)
-    traced_result, traced = _run(config, trace=True, frame_trains=True)
-    _, traced_legacy = _run(config, trace=True, frame_trains=False)
-
-    # Wire-mode invariance: the full traced payload — simulation results AND
-    # per-stage histograms — is identical with and without frame trains.
-    audit_train = traced.pop("audit")
-    audit_legacy = traced_legacy.pop("audit")
-    assert traced == traced_legacy
+@given(config=trace_configs())
+def test_tracing_perturbs_nothing(config):
+    _, untraced = _run(config, trace=False)
+    traced_result, traced = _run(config, trace=True)
 
     # Zero perturbation: strip the trace payload and the traced run must
     # equal the untraced run exactly, key for key.
-    untraced.pop("audit")
+    audit_untraced = untraced.pop("audit")
+    audit_traced = traced.pop("audit")
     trace_payload = traced.pop("trace")
     assert traced == untraced
 
-    # The telescoping identity survives export and both wire modes, and the
-    # auditor (which also cross-checks e2e against the copy-latency metric)
-    # passed in both traced runs.
+    # The telescoping identity survives export, and the auditor (which also
+    # cross-checks e2e against the copy-latency metric) passed in both runs.
     checks, violations = traced_result.trace.check_identity()
     assert checks > 0 and violations == []
-    from repro.trace import TraceReport
-
     round_tripped = TraceReport.from_dict(trace_payload)
     assert round_tripped.check_identity()[1] == []
-    assert audit_train["ok"], audit_train
-    assert audit_legacy["ok"], audit_legacy
+    assert audit_traced["ok"], audit_traced
+    assert audit_untraced["ok"], audit_untraced

@@ -3,9 +3,9 @@
 The gate itself re-measures figures cold, which is far too slow for unit
 tests — so these tests stub the measurement layer with synthetic numbers
 and exercise the decision logic: a healthy snapshot passes, each ceiling
-and floor trips individually, ``--update`` rewrites the baseline without
-being able to weaken the hard-coded floors, and calibration normalization
-makes the verdict machine-independent.
+trips individually, the Python-call ceiling is exact, ``--update`` rewrites
+the baseline without being able to raise the hard-coded ceilings, and
+calibration normalization makes the verdict machine-independent.
 """
 
 import importlib.util
@@ -31,11 +31,9 @@ ENGINE_METRICS = {
 FIGURE_ROW = {
     "normalized_cost": 6_000_000.0,
     "normalized_cost_no_express": 6_500_000.0,
-    "normalized_cost_legacy": 8_000_000.0,
-    "events_fired": 4_000,
-    "events_fired_no_express": 9_000,
-    "events_fired_legacy": 20_000,
-    "events_reduction": 0.80,
+    "dispatches": 20_000,
+    "dispatches_no_express": 19_900,
+    "py_calls": tool.MAX_PY_CALLS["fig3a"] - 10_000,
     "trace_overhead": 0.10,
 }
 
@@ -46,8 +44,6 @@ BASELINE = {
         "fig3a": {
             "max_normalized_cost": 6_000_000.0,
             "max_normalized_cost_no_express": 6_500_000.0,
-            "max_normalized_cost_legacy": 8_000_000.0,
-            "min_events_reduction": tool.MIN_EVENTS_REDUCTION,
         }
     },
 }
@@ -88,10 +84,7 @@ def test_engine_throughput_floor_trips(tmp_path, monkeypatch, capsys):
     assert "schedule_run_normalized" in err
 
 
-@pytest.mark.parametrize(
-    "key",
-    ["normalized_cost", "normalized_cost_no_express", "normalized_cost_legacy"],
-)
+@pytest.mark.parametrize("key", ["normalized_cost", "normalized_cost_no_express"])
 def test_each_cost_ceiling_trips(tmp_path, monkeypatch, capsys, key):
     row = dict(FIGURE_ROW)
     row[key] = row[key] * 2.0  # well past the 25% headroom
@@ -109,16 +102,32 @@ def test_cost_within_tolerance_headroom_passes(tmp_path, monkeypatch, capsys):
     assert code == 0
 
 
-def test_events_reduction_floor_is_exact(tmp_path, monkeypatch, capsys):
+def test_py_calls_ceiling_is_exact(tmp_path, monkeypatch, capsys):
     row = dict(FIGURE_ROW)
-    row["events_reduction"] = tool.MIN_EVENTS_REDUCTION - 0.01
+    row["py_calls"] = tool.MAX_PY_CALLS["fig3a"] + 1
     code, err = _run_gate(tmp_path, monkeypatch, capsys, row=row)
     assert code == 1
-    assert "events_reduction" in err
-    # Exactly at the floor is acceptable: no tolerance in either direction.
-    row["events_reduction"] = tool.MIN_EVENTS_REDUCTION
+    assert "Python calls" in err
+    # Exactly at the ceiling is acceptable: no tolerance in either direction.
+    row["py_calls"] = tool.MAX_PY_CALLS["fig3a"]
     code, _ = _run_gate(tmp_path, monkeypatch, capsys, row=row)
     assert code == 0
+
+
+def test_update_cannot_raise_py_calls_ceiling(tmp_path, monkeypatch, capsys):
+    ceilings = dict(tool.MAX_PY_CALLS)
+    row = dict(FIGURE_ROW)
+    row["py_calls"] = ceilings["fig3a"] + 50_000
+    code, _ = _run_gate(tmp_path, monkeypatch, capsys, row=row, update=True)
+    assert code == 0
+    doc = json.loads((tmp_path / "baseline.json").read_text())
+    # The ceiling is the tool's constant: --update neither changes it nor
+    # writes a call count into the baseline file for a later run to trust.
+    assert tool.MAX_PY_CALLS == ceilings
+    assert "py_calls" not in json.dumps(doc)
+    code, err = _run_gate(tmp_path, monkeypatch, capsys, row=row, baseline=doc)
+    assert code == 1
+    assert "Python calls" in err
 
 
 def test_trace_overhead_ceiling_trips(tmp_path, monkeypatch, capsys):
@@ -152,10 +161,7 @@ def test_update_rewrites_baseline_with_hard_floor(tmp_path, monkeypatch, capsys)
         fig["max_normalized_cost_no_express"]
         == FIGURE_ROW["normalized_cost_no_express"]
     )
-    assert fig["max_normalized_cost_legacy"] == FIGURE_ROW["normalized_cost_legacy"]
-    # --update can never weaken the events floor: it is the tool's constant,
-    # not whatever this machine happened to measure.
-    assert fig["min_events_reduction"] == tool.MIN_EVENTS_REDUCTION
+    assert set(fig) == {"max_normalized_cost", "max_normalized_cost_no_express"}
     assert doc["schedule_run_normalized"] == ENGINE_METRICS["schedule_run_normalized"]
     # A gate run against the freshly written baseline passes.
     code, err = _run_gate(tmp_path, monkeypatch, capsys, baseline=doc)
@@ -167,16 +173,16 @@ def test_calibration_normalization_is_machine_independent(monkeypatch):
     """A machine half as fast (walls x2, calibration /2) must produce the
     same normalized figure costs, so the committed ceilings transfer."""
     walls = {
-        (True, True, False): 0.5,
-        (True, False, False): 0.6,
-        (False, False, False): 1.0,
-        (True, True, True): 0.55,
+        (True, False): 0.5,
+        (False, False): 0.6,
+        (True, True): 0.55,
     }
 
-    def fake_time_figure(name, frame_trains, express, repeat, trace=False):
-        return walls[(frame_trains, express, trace)] * scale, 1_000
+    def fake_time_figure(name, express, repeat, trace=False):
+        return walls[(express, trace)] * scale, 1_000
 
     monkeypatch.setattr(tool, "_time_figure", fake_time_figure)
+    monkeypatch.setattr(tool, "_py_calls", lambda name: 3_000_000)
     scale = 1.0
     fast = tool._figure_metrics(["fig3a"], 1, 10_000_000.0)["fig3a"]
     scale = 2.0
@@ -184,8 +190,8 @@ def test_calibration_normalization_is_machine_independent(monkeypatch):
     for key in (
         "normalized_cost",
         "normalized_cost_no_express",
-        "normalized_cost_legacy",
         "trace_overhead",
-        "events_reduction",
+        "dispatches",
+        "py_calls",
     ):
         assert fast[key] == pytest.approx(slow[key])

@@ -83,9 +83,7 @@ def test_reserved_serial_restores_legacy_position():
     order = []
     serial = engine.reserve_serial()
     engine.schedule(1000, order.append, "later-ticket")
-    engine.express_at(
-        1000, order.append, "reserved", serial=serial, inserted_at=engine.now
-    )
+    engine.express_at(1000, order.append, "reserved", serial=serial)
     engine.run()
     assert order == ["reserved", "later-ticket"]
 

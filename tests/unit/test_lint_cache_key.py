@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, fields
 class ExperimentConfig:
     seed: int = 0
     trace: bool = False
-    frame_trains: bool = field(default=True, metadata={"cache_key": False})
+    express: bool = field(default=True, metadata={"cache_key": False})
 
-CACHE_KEY_EXCLUDED = frozenset({"frame_trains"})
+CACHE_KEY_EXCLUDED = frozenset({"express"})
 
 def _canonicalize(value):
     return {
@@ -35,30 +35,30 @@ def test_marked_field_missing_from_declared_set():
     # The historical bug shape: field carries metadata={"cache_key": False}
     # but CACHE_KEY_EXCLUDED forgot it (or it was deleted from the set).
     source = CLEAN_CONFIG.replace(
-        'CACHE_KEY_EXCLUDED = frozenset({"frame_trains"})',
+        'CACHE_KEY_EXCLUDED = frozenset({"express"})',
         "CACHE_KEY_EXCLUDED = frozenset()",
     ).replace("frozenset()", 'frozenset(())')
     findings = check_config(source)
     assert [f.rule for f in findings] == ["key-marked-not-declared"]
-    assert "frame_trains" in findings[0].message
+    assert "express" in findings[0].message
     # Anchored at the field definition line.
     assert findings[0].line == 7
 
 
 def test_declared_field_missing_metadata_marker():
     source = CLEAN_CONFIG.replace(
-        'frame_trains: bool = field(default=True, metadata={"cache_key": False})',
-        "frame_trains: bool = True",
+        'express: bool = field(default=True, metadata={"cache_key": False})',
+        "express: bool = True",
     )
     findings = check_config(source)
     assert [f.rule for f in findings] == ["key-declared-not-marked"]
-    assert "frame_trains" in findings[0].message
+    assert "express" in findings[0].message
 
 
 def test_unknown_field_in_declared_set():
     source = CLEAN_CONFIG.replace(
-        'frozenset({"frame_trains"})',
-        'frozenset({"frame_trains", "not_a_field"})',
+        'frozenset({"express"})',
+        'frozenset({"express", "not_a_field"})',
     )
     findings = check_config(source)
     assert [f.rule for f in findings] == ["key-unknown-field"]
@@ -67,7 +67,7 @@ def test_unknown_field_in_declared_set():
 
 def test_missing_declaration_entirely():
     source = CLEAN_CONFIG.replace(
-        'CACHE_KEY_EXCLUDED = frozenset({"frame_trains"})\n', ""
+        'CACHE_KEY_EXCLUDED = frozenset({"express"})\n', ""
     )
     findings = check_config(source)
     rules = {f.rule for f in findings}
@@ -78,7 +78,7 @@ def test_missing_declaration_entirely():
 
 def test_non_literal_declaration_flagged():
     source = CLEAN_CONFIG.replace(
-        'CACHE_KEY_EXCLUDED = frozenset({"frame_trains"})',
+        'CACHE_KEY_EXCLUDED = frozenset({"express"})',
         "CACHE_KEY_EXCLUDED = frozenset(_computed())",
     )
     findings = check_config(source)

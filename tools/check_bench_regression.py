@@ -7,17 +7,14 @@ Two gates against ``benchmarks/baseline_engine.json``:
   ``benchmarks/test_bench_engine.py`` and ``repro bench``), compared by
   *calibration-normalized* throughput. Fails when either path drops more
   than the tolerance (default 25%) below baseline.
-* **Figures** — each gated panel is regenerated cold in three wire/clock
-  modes: the shipping fast path (frame trains + express lane), trains with
-  ``--no-express`` (isolating the express lane's contribution), and the
-  fully legacy per-event pipeline (``--no-train --no-express``). Gated
-  quantities: normalized cost (wall time × calibration throughput, a
-  machine-independent work unit) for each mode, with tolerance headroom,
-  and the fractional reduction in engine events fired by the combined
-  train+express path vs legacy — enforced exactly (it is a structural
-  property of the simulation, not a timing). Each panel is also re-run
-  with per-stage latency tracing on; the traced/untraced wall-time ratio
-  must stay under ``MAX_TRACE_OVERHEAD``.
+* **Figures** — each gated panel is regenerated cold with the express lane
+  on (the default) and with ``--no-express``. Gated quantities: normalized
+  cost (wall time × calibration throughput, a machine-independent work
+  unit) for both modes, with tolerance headroom, and the panel's total
+  Python calls under cProfile, capped exactly by ``MAX_PY_CALLS`` (a
+  deterministic count of the work done, not a timing). Each panel is also
+  re-run with per-stage latency tracing on; the traced/untraced wall-time
+  ratio must stay under ``MAX_TRACE_OVERHEAD``.
 
 Usage::
 
@@ -29,7 +26,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import cProfile
+import gc
 import json
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -40,12 +40,16 @@ from repro import bench  # noqa: E402
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_engine.json"
 
-#: Required drop in engine events fired with the combined frame-train +
-#: express-lane fast path on, vs the fully legacy per-event pipeline, per
-#: gated figure. Kept in the tool (not just the baseline file) so a plain
-#: ``--update`` can never quietly weaken it. Trains alone delivered 0.30;
-#: fast-forwarding quiescent ACK-clocked rounds off-wheel raises the floor.
-MIN_EVENTS_REDUCTION = 0.55
+#: Exact ceiling on the total Python calls (every function cProfile sees:
+#: simulator, builtins, standard library) of one cold, default-mode
+#: regeneration of each panel, measured by :func:`_py_calls`. The count is
+#: deterministic for a given CPython minor version; these are pinned for
+#: CPython 3.11, which CI uses. Kept in the tool (not the baseline file) so
+#: ``--update`` can never raise them: lower them by hand with each win.
+MAX_PY_CALLS = {
+    "fig3a": 3_141_608,
+    "fig9a": 2_222_015,
+}
 
 #: Allowed fractional wall-time increase of a traced run over the same
 #: panel with tracing off. The tracing-off cost itself is gated by the
@@ -57,9 +61,9 @@ MIN_EVENTS_REDUCTION = 0.55
 MAX_TRACE_OVERHEAD = 0.50
 
 
-def _time_figure(name: str, frame_trains: bool, express: bool, repeat: int,
-                 trace: bool = False):
-    """Best-of-N cold wall time and engine events fired for one panel."""
+def _time_figure(name: str, express: bool, repeat: int, trace: bool = False):
+    """Best-of-N cold wall time and engine dispatches (wheel events plus
+    express-lane dispatches) for one panel."""
     from repro.cli import _run_panel
     from repro.figures import base as figures_base
 
@@ -67,41 +71,67 @@ def _time_figure(name: str, frame_trains: bool, express: bool, repeat: int,
     for _ in range(repeat):
         figures_base.STATS.reset()
         start = time.perf_counter()
-        _run_panel(name, jobs=1, cache=None, audit=False,
-                   frame_trains=frame_trains, express=express, trace=trace)
+        _run_panel(name, jobs=1, cache=None, audit=False, express=express,
+                   trace=trace)
         best = min(best, time.perf_counter() - start)
-    return best, figures_base.STATS.events_fired
+    stats = figures_base.STATS
+    return best, stats.events_fired + stats.express_fired
+
+
+def _py_calls(name: str) -> int:
+    """Total Python calls of one cold default-mode regeneration of ``name``.
+
+    A first, unprofiled run warms imports and module-level memos, so the
+    profiled run counts the same calls whatever ran before it in this
+    process; ``gc.collect()`` first keeps earlier runs' reference cycles
+    from being collected (and counted) mid-profile.
+    """
+    from repro.cli import _run_panel
+
+    _run_panel(name, jobs=1, cache=None, audit=False)
+    gc.collect()
+    profiler = cProfile.Profile()
+    profiler.runcall(_run_panel, name, jobs=1, cache=None, audit=False)
+    return sum(entry[1] for entry in pstats.Stats(profiler).stats.values())
 
 
 def _figure_metrics(names, repeat: int, calibration_ops: float):
     rows = {}
     for name in names:
-        print(f"figure gate: timing {name} "
-              "(fast / --no-express / legacy / traced)...")
-        wall, events = _time_figure(name, True, True, repeat)
-        wall_nx, events_nx = _time_figure(name, True, False, repeat)
-        wall_legacy, events_legacy = _time_figure(name, False, False, repeat)
-        wall_traced, _ = _time_figure(name, True, True, repeat, trace=True)
+        print(f"figure gate: timing {name} (default / --no-express / traced)...")
+        wall, dispatches = _time_figure(name, True, repeat)
+        wall_nx, dispatches_nx = _time_figure(name, False, repeat)
+        wall_traced, _ = _time_figure(name, True, repeat, trace=True)
         rows[name] = {
             "normalized_cost": wall * calibration_ops,
             "normalized_cost_no_express": wall_nx * calibration_ops,
-            "normalized_cost_legacy": wall_legacy * calibration_ops,
-            "events_fired": events,
-            "events_fired_no_express": events_nx,
-            "events_fired_legacy": events_legacy,
-            "events_reduction": (
-                1.0 - events / events_legacy if events_legacy else 0.0
-            ),
+            "dispatches": dispatches,
+            "dispatches_no_express": dispatches_nx,
+            "py_calls": _py_calls(name),
             "trace_overhead": wall_traced / wall - 1.0 if wall else 0.0,
         }
         print(
-            f"  {name}: {wall:.3f}s / {wall_nx:.3f}s / {wall_legacy:.3f}s "
-            f"wall, {events:,} / {events_nx:,} / {events_legacy:,} events "
-            f"({rows[name]['events_reduction']:.1%} fewer than legacy); "
+            f"  {name}: {wall:.3f}s / {wall_nx:.3f}s wall, "
+            f"{dispatches:,} / {dispatches_nx:,} dispatches, "
+            f"{rows[name]['py_calls']:,} Python calls; "
             f"traced {wall_traced:.3f}s "
             f"({rows[name]['trace_overhead']:+.1%} vs tracing off)"
         )
     return rows
+
+
+def _py_calls_failures(figure_rows) -> list:
+    """Panels whose measured Python calls exceed their ``MAX_PY_CALLS``
+    ceiling (exact: one call over fails)."""
+    failures = []
+    for name, row in figure_rows.items():
+        ceiling = MAX_PY_CALLS.get(name)
+        if ceiling is not None and row["py_calls"] > ceiling:
+            failures.append(
+                f"{name}: {row['py_calls']:,} Python calls exceed the "
+                f"ceiling of {ceiling:,} by {row['py_calls'] - ceiling:,}"
+            )
+    return failures
 
 
 def main() -> int:
@@ -143,9 +173,8 @@ def main() -> int:
             "comment": "calibration-normalized perf floors for CI; regenerate "
             "with tools/check_bench_regression.py --update (engine floors are "
             "throughput minima; figure entries are normalized-cost ceilings "
-            "for the train+express fast path, the --no-express intermediate, "
-            "and the fully legacy pipeline, plus the exact events-fired "
-            "reduction the combined fast path must keep delivering)",
+            "with the express lane on and off; the exact Python-call "
+            "ceilings live in the tool as MAX_PY_CALLS)",
             "schedule_run_normalized": current["schedule_run_normalized"],
             "cancel_churn_normalized": current["cancel_churn_normalized"],
             "figures": {
@@ -154,8 +183,6 @@ def main() -> int:
                     "max_normalized_cost_no_express": row[
                         "normalized_cost_no_express"
                     ],
-                    "max_normalized_cost_legacy": row["normalized_cost_legacy"],
-                    "min_events_reduction": MIN_EVENTS_REDUCTION,
                 }
                 for name, row in figure_rows.items()
             },
@@ -174,6 +201,7 @@ def main() -> int:
         if not names or name in names
     }
     failures += bench.compare_figures_to_baseline(figure_rows, gated, args.tolerance)
+    failures += _py_calls_failures(figure_rows)
     for name, row in figure_rows.items():
         if row["trace_overhead"] > MAX_TRACE_OVERHEAD:
             failures.append(
