@@ -7,14 +7,13 @@ globally before reporting, so it carries no semantics.
 
 from __future__ import annotations
 
-from . import cache_key, determinism, express, slots
+from . import cache_key, determinism, slots
 
 #: id -> check function, in registration order.
 CHECKERS = {
     determinism.CHECKER_ID: determinism.check,
     cache_key.CHECKER_ID: cache_key.check,
-    express.CHECKER_ID: express.check,
     slots.CHECKER_ID: slots.check,
 }
 
-__all__ = ["CHECKERS", "cache_key", "determinism", "express", "slots"]
+__all__ = ["CHECKERS", "cache_key", "determinism", "slots"]

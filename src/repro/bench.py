@@ -1,8 +1,8 @@
 """Perf-trajectory harness behind ``repro bench``.
 
-Measures the two engine hot paths the timer-wheel targets (plain
-schedule/fire, and cancel-heavy timer churn), a pure-Python calibration loop
-used to normalize across machines, and per-figure wall times. ``repro bench``
+Measures the two engine hot paths (plain schedule/fire, and cancel-heavy
+timer churn), a pure-Python calibration loop used to normalize across
+machines, and per-figure wall times. ``repro bench``
 assembles these into a ``BENCH_<stamp>.json`` snapshot; committing one per
 perf-relevant PR builds the repo's performance trajectory, and
 ``tools/check_bench_regression.py`` gates CI on the normalized engine
@@ -104,8 +104,7 @@ def engine_metrics(repeat: int = 3) -> Dict[str, float]:
     calibration_ops = CALIBRATION_OPS / calibration_s
 
     schedule_events = _schedule_and_run().events_fired
-    churn_engine = _cancel_churn()
-    churn_events = churn_engine.events_fired
+    churn_events = _cancel_churn().events_fired
 
     schedule_s = _best_seconds(_schedule_and_run, repeat)
     churn_s = _best_seconds(_cancel_churn, repeat)
@@ -120,16 +119,15 @@ def engine_metrics(repeat: int = 3) -> Dict[str, float]:
         "schedule_run_normalized": schedule_eps / calibration_ops,
         "cancel_churn_seconds": churn_s,
         "cancel_churn_events_fired": float(churn_events),
-        "cancel_churn_events_recycled": float(churn_engine.events_recycled),
         "cancel_churn_events_per_sec": churn_eps,
         "cancel_churn_normalized": churn_eps / calibration_ops,
     }
 
 
 def dispatches(row: Dict[str, float]) -> int:
-    """Engine dispatches of one timed panel: wheel events plus express-lane
-    dispatches. Counting wheel events alone would score work the lane merely
-    moves off the wheel as work saved."""
+    """Engine dispatches of one timed panel: plain events plus express-lane
+    entries. Counting plain events alone would score work the lane merely
+    relabels as work saved."""
     return row["events_fired"] + row["express_fired"]
 
 

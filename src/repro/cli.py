@@ -70,7 +70,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-express", action="store_true",
                         help="disable the steady-state express lane and "
                         "schedule CPU completions / TCP timers as plain "
-                        "wheel events (byte-identical results, more events)")
+                        "cancellable events (byte-identical results)")
 
 
 def _runner_settings(args: argparse.Namespace):
@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the repro static-analysis checkers (determinism, "
-        "cache-key completeness, express-lane purity, slots discipline) "
+        "cache-key completeness, slots discipline) "
         "over src/repro; exits non-zero on new findings or stale baseline "
         "entries",
     )
@@ -224,14 +224,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _panel_registry() -> dict:
-    from .figures import ALL_FIGURES, tables
+    from .figures import figure_generators, tables
 
-    panels = {"table1": tables.table1, "table2": tables.table2}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if name.startswith("fig") and callable(getattr(module, name)):
-                panels[name] = getattr(module, name)
-    return panels
+    return {"table1": tables.table1, "table2": tables.table2, **figure_generators()}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -452,7 +447,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         line = (f"{name}: {row['wall_seconds']:.3f}s wall, "
                 f"{row['experiments_run']} experiments, "
                 f"{bench.dispatches(row):,} dispatches "
-                f"({row['events_fired']:,} wheel + {row['express_fired']:,} express)")
+                f"({row['events_fired']:,} plain + {row['express_fired']:,} express)")
         if "events_reduction" in row:
             no_express = row["no_express"]
             line += (f"; {row['events_reduction']:.1%} fewer than --no-express's "

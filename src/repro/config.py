@@ -188,8 +188,8 @@ class ExperimentConfig:
 
     # Simulator-implementation switch, not an experiment parameter: the
     # steady-state express lane (DESIGN.md §13) routes CPU job completions
-    # and chased timer deadlines through the engine's off-wheel dispatch
-    # heap, fast-forwarding whole ACK-clocked rounds of quiescent bulk flows.
+    # and chased timer deadlines through uncancellable engine entries, so
+    # quiescent bulk flows stop cancelling and re-arming an RTO per ACK.
     # Results are identical by construction (enforced by the golden-digest
     # gate and the express equivalence property tests), so the flag is
     # excluded from the content-addressed cache key / canonical dict.
@@ -240,6 +240,14 @@ class ExperimentConfig:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.link.loss_rate > 0 and not self.link.has_switch:
             raise ValueError("packet loss requires has_switch=True (drops happen there)")
+        if self.nic.rx_descriptors < 1:
+            raise ValueError("rx_descriptors must be >= 1")
+        if self.tcp.rx_buffer_bytes < 1:
+            raise ValueError("rx_buffer_bytes must be >= 1")
+        if self.workload.rpc_size_bytes < 1:
+            raise ValueError("rpc_size_bytes must be >= 1")
+        if self.workload.num_rpc_flows < 0:
+            raise ValueError("num_rpc_flows must be >= 0")
 
 
 #: ``ExperimentConfig`` fields deliberately excluded from the

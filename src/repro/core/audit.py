@@ -376,9 +376,8 @@ class ConservationAuditor:
         self._check_exact(
             "engine.express_lane", "engine",
             counts["express_registered"],
-            counts["express_fired"] + counts["express_materialized"]
-            + counts["express_pending"],
-            "express entries registered != fired + materialized + queued",
+            counts["express_fired"] + counts["express_pending"],
+            "express entries registered != fired + queued",
         )
 
     # --- metrics self-consistency --------------------------------------------------------

@@ -45,9 +45,9 @@ class Experiment:
         self.config = config
         self.audit_enabled = audit
         self.engine = Engine()
-        # Opt producers (CPU cores, chased TCP timers) into the off-wheel
-        # express lane before any host machinery is built, so everything
-        # constructed below sees the final setting.
+        # Opt producers (CPU cores, chased TCP timers) into the express lane
+        # before any host machinery is built, so everything constructed
+        # below sees the final setting.
         self.engine.express_enabled = config.express
         self.rngs = RngStreams(config.seed)
         self.profiler = CpuProfiler()

@@ -38,7 +38,7 @@ class RunnerStats:
     #: harness reads these to compare dispatches across execution modes.
     events_fired: int = 0
     events_cancelled: int = 0
-    #: Express-lane dispatches (off-wheel), same summation rules.
+    #: Express-lane dispatches, same summation rules.
     express_fired: int = 0
 
     def reset(self) -> None:

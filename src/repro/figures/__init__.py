@@ -24,4 +24,15 @@ ALL_FIGURES = {
     "tables": tables,
 }
 
-__all__ = ["ALL_FIGURES"] + list(ALL_FIGURES)
+__all__ = ["ALL_FIGURES", "figure_generators"] + list(ALL_FIGURES)
+
+
+def figure_generators() -> dict:
+    """Every panel generator by name (``{"fig3a": fig3.fig3a, ...}``): the
+    callables named ``fig*`` in the figure modules."""
+    generators = {}
+    for module in ALL_FIGURES.values():
+        for name in dir(module):
+            if name.startswith("fig") and callable(getattr(module, name)):
+                generators[name] = getattr(module, name)
+    return generators

@@ -1,9 +1,10 @@
 """Golden-digest plumbing: pin the simulator's observable behaviour.
 
 Every figure generator is run against a recording stub of ``run_many`` to
-harvest the exact experiment configs it would submit (the same trick the
-strict-audit integration test uses), then each unique config is simulated
-with shortened measurement windows and reduced to two stable strings:
+harvest the exact experiment configs it would submit (the strict-audit
+integration test audits the same harvest), then each unique config is
+simulated with shortened measurement windows and reduced to two stable
+strings:
 
 * the persistent-cache key of the *original* (full-window) config, and
 * a SHA-256 digest of the canonical ``result_to_dict`` payload of the
@@ -39,14 +40,10 @@ GOLDEN_WARMUP_NS = msec(3)
 def harvest_figure_configs() -> List[ExperimentConfig]:
     """Every config any figure generator submits, in sorted-generator order,
     deduplicated (full-window form) by cache key."""
-    from .figures import ALL_FIGURES
     from .figures import base as figures_base
+    from .figures import figure_generators
 
-    generators = {}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if name.startswith("fig") and callable(getattr(module, name)):
-                generators[name] = getattr(module, name)
+    generators = figure_generators()
 
     captured: List[ExperimentConfig] = []
     stand_in = Experiment(

@@ -132,9 +132,7 @@ class Core:
         finish_t = engine.now + duration_ns
         # Completions are ideal express-lane cargo: the finish time and
         # ordering ticket are final at this instant and the event is never
-        # cancelled. A quiescent ACK-clocked round is a chain of these, so
-        # routing them off-wheel is what lets the engine fast-forward whole
-        # rounds (DESIGN.md §13).
+        # cancelled, so it needs no cancellable Event handle (DESIGN.md §13).
         if engine.express_enabled:
             engine.express_at(finish_t, self._finish, job)
         else:

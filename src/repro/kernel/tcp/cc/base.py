@@ -56,7 +56,7 @@ class CongestionController:
 
         Consulted by the flow express gate (:mod:`repro.kernel.tcp.express`):
         quiescent flows may route their retransmission timer through the
-        engine's lazy express lane instead of eagerly re-arming a wheel event
+        engine's lazy express lane instead of eagerly re-arming a timer event
         per ACK. Purely a fast-path heuristic — both timer mechanics are
         byte-identical — so algorithms should return False whenever their
         window is mid-reaction and timer churn is likely (recovery, ECN

@@ -144,11 +144,11 @@ class TcpEndpoint:
         #: Per-flow quiescence gate deciding eager vs lazy RTO mechanics.
         self.express_gate = FlowExpressGate(self, self.engine.express_enabled)
         #: Logical retransmission deadline (lazy mode), or None when no
-        #: timer is pending. The wheel holds no event for it; at most a few
-        #: off-wheel chase entries (``_rto_out``) track it.
+        #: timer is pending. No cancellable event exists for it; at most a
+        #: few express-lane chase entries (``_rto_out``) track it.
         self._rto_deadline: Optional[int] = None
         #: Engine serial reserved by the most recent arm — the position the
-        #: eager wheel event would have occupied in same-instant ordering.
+        #: eager timer event would have occupied in same-instant ordering.
         self._rto_serial = 0
         #: Sorted virtual times of outstanding chase entries (strictly
         #: decreasing-min pushes keep them distinct; earliest fires first).
@@ -606,9 +606,9 @@ class TcpEndpoint:
 
         Two byte-identical mechanics, chosen per arm by the express gate:
 
-        * eager (legacy / perturbed flows): cancel the old wheel event,
+        * eager (legacy / perturbed flows): cancel the old timer event,
           schedule a fresh one. Steady bulk flows do this once per ACK and
-          the timer virtually never fires — pure wheel churn.
+          the timer virtually never fires — pure engine churn.
         * lazy (quiescent flows): record the logical deadline, reserve the
           engine serial the eager ``schedule`` would have consumed (so any
           real timeout interleaves identically), and keep at most one live

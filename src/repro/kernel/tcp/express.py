@@ -4,24 +4,24 @@ A bulk flow in steady state is *ACK-clocked*: every round is the same dance
 of transmit → completion → ACK → window slide → transmit, and the only timer
 activity is the retransmission timer being cancelled and re-armed once per
 ACK without ever firing. That cancel/re-arm churn is pure engine overhead —
-tens of thousands of wheel operations per run that exist only to move a
+tens of thousands of engine operations per run that exist only to move a
 deadline that keeps receding.
 
 ``FlowExpressGate`` decides, per arm, whether a flow is quiescent enough to
 route its RTO through the engine's express lane lazily (see DESIGN.md §13):
 
 * quiescent — the endpoint records a *logical* deadline and reserves the
-  serial an eager arm would have consumed, keeping at most one off-wheel
+  serial an eager arm would have consumed, keeping at most one lane
   chase entry live; stale entries fire as no-ops and re-chase.
 * perturbed — loss recovery in progress, dupacks outstanding, a timeout
   backoff chain active, or the congestion controller mid-reaction — the
-  endpoint falls back to the classic eager wheel event, whose cost is noise
+  endpoint falls back to the classic eager timer event, whose cost is noise
   next to the recovery work itself.
 
 Both mechanics are byte-identical by construction: the lazy path consumes
 exactly one engine serial per arm (like the eager ``schedule``) and a real
 timeout fires at the same virtual instant, ordered by the serial of the
-*last* arm — exactly where the eager event would have sat in its block.
+*last* arm — exactly where the eager event would have sat.
 The golden-digest suite and ``tests/property/test_express_equivalence.py``
 enforce this.
 """
@@ -50,7 +50,7 @@ class FlowExpressGate:
 
         Checked at every arm, so a perturbation mid-round (dupack, loss,
         backoff) aborts the lazy mechanics on the very next arm — the flow
-        is back on eager wheel events before any recovery timer matters.
+        is back on eager timer events before any recovery timer matters.
         """
         if not self.enabled:
             return False

@@ -5,71 +5,31 @@ figure generator would run (with shortened measurement windows — the
 invariants are instant-exact, so they hold regardless of duration) must pass
 byte, cycle, wire, and event-queue conservation with zero violations.
 
-The configs are harvested by running every figure generator against a
-recording stub of ``run_many``, so new figures and new sweep points are
-audited automatically as they are added.
+The configs come from the golden-digest harvest
+(:func:`repro.golden.harvest_figure_configs`), so new figures and new sweep
+points are audited automatically as they are added.
 """
 
 import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.audit import AuditError, audit_experiment
-from repro.core.cache import config_cache_key
 from repro.core.experiment import Experiment
 from repro.core.runner import run_many
-from repro.figures import ALL_FIGURES
 from repro.figures import base as figures_base
+from repro.figures import figure_generators
+from repro.golden import GOLDEN_DURATION_NS, GOLDEN_WARMUP_NS, harvest_figure_configs
 from repro.units import msec
 
-#: Shortened windows for the sweep: long enough to reach steady state with
-#: retransmissions/drops in the loss configs, short enough to audit ~130
-#: unique configs in one test run.
-AUDIT_DURATION_NS = msec(2)
-AUDIT_WARMUP_NS = msec(3)
 
-
-def _figure_generators():
-    generators = {}
-    for module in ALL_FIGURES.values():
-        for name in dir(module):
-            if name.startswith("fig") and callable(getattr(module, name)):
-                generators[name] = getattr(module, name)
-    return generators
-
-
-def harvest_figure_configs(monkeypatch):
-    """Every config any figure generator submits, deduplicated by content
-    hash after shortening the measurement windows."""
-    captured = []
-    # One real (tiny) result satisfies every generator's table-building code.
-    stand_in = Experiment(
-        ExperimentConfig(duration_ns=msec(1), warmup_ns=msec(1))
-    ).run()
-
-    def recording_run_many(configs, **kwargs):
-        configs = list(configs)
-        captured.extend(configs)
-        return [stand_in] * len(configs)
-
-    monkeypatch.setattr(figures_base, "run_many", recording_run_many)
-    for name, generator in sorted(_figure_generators().items()):
-        generator()
-
-    shortened = [
-        config.replace(duration_ns=AUDIT_DURATION_NS, warmup_ns=AUDIT_WARMUP_NS)
-        for config in captured
-    ]
-    unique = {config_cache_key(config): config for config in shortened}
-    assert len(captured) >= 100, "figure harvest looks implausibly small"
-    return list(unique.values())
-
-
-def test_every_figure_config_passes_strict_audit(monkeypatch):
-    configs = harvest_figure_configs(monkeypatch)
-    assert len(configs) >= 50
+def test_every_figure_config_passes_strict_audit():
+    configs = harvest_figure_configs()
+    assert len(configs) >= 100, "figure harvest looks implausibly small"
     failures = []
     for config in configs:
-        experiment = Experiment(config)
+        experiment = Experiment(
+            config.replace(duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS)
+        )
         experiment.run()
         try:
             audit_experiment(experiment, strict=True)
@@ -82,7 +42,7 @@ def test_audited_run_many_crosses_process_boundary():
     """Audit reports must survive the worker->parent payload round trip."""
     configs = [
         ExperimentConfig(
-            duration_ns=AUDIT_DURATION_NS, warmup_ns=AUDIT_WARMUP_NS, seed=seed
+            duration_ns=GOLDEN_DURATION_NS, warmup_ns=GOLDEN_WARMUP_NS, seed=seed
         )
         for seed in (1, 2)
     ]
@@ -118,14 +78,14 @@ def test_figure_audit_pipeline_end_to_end(figure_name):
     and check the merged report (the `repro audit fig3a` flow)."""
     from repro.core.audit import merge_reports
 
-    generator = _figure_generators()[figure_name]
-    monkey_duration = AUDIT_DURATION_NS
+    generator = figure_generators()[figure_name]
+    monkey_duration = GOLDEN_DURATION_NS
     original_prepare = figures_base.prepare
 
     def short_prepare(config, warmup_ns=None):
         prepared = original_prepare(config, warmup_ns)
         return prepared.replace(
-            duration_ns=monkey_duration, warmup_ns=AUDIT_WARMUP_NS
+            duration_ns=monkey_duration, warmup_ns=GOLDEN_WARMUP_NS
         )
 
     figures_base.prepare = short_prepare

@@ -5,9 +5,8 @@ reference in ``tests/golden/figure_digests.json``: the persistent-cache key
 of the full-window config must be unchanged (cache compatibility across the
 engine swap) and the SHA-256 digest of the canonical ``result_to_dict``
 payload of a shortened run must be byte-identical (no float anywhere in any
-result moved). The reference was generated with the pre-timer-wheel heap
-engine, so this test is the proof that the wheel + hot-path rewrites are
-behaviour-preserving.
+result moved). The reference predates every engine and hot-path rewrite,
+so this test is the proof that each of them preserved behaviour.
 
 Regenerate after an intentional behaviour change::
 

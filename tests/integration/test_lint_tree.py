@@ -7,6 +7,7 @@ absorb. This is the proof that the gate would have fired on the historical
 bug, not merely that the checker runs.
 """
 
+import json
 from pathlib import Path
 
 from repro.analysis.baseline import load_baseline
@@ -40,10 +41,9 @@ class TestCleanTree:
             assert entry.reason, f"baseline entry without a reason: {entry}"
 
     def test_baseline_is_express_fallbacks_only(self):
-        # Today's accepted debt is exactly the gated wheel fallbacks of the
-        # express lane; anything else appearing here deserves review.
-        entries = load_baseline()
-        assert {e.rule for e in entries} == {"express-wheel-schedule"}
+        # The tree carries no accepted debt: a new finding is fixed, or
+        # suppressed at its line with a pragma and a reason.
+        assert load_baseline() == []
 
 
 class TestHistoricalBugShapes:
@@ -74,24 +74,6 @@ class TestHistoricalBugShapes:
             if f.rule == "det-wallclock" and f.path == "src/repro/sim/engine.py"
         ]
         assert [f.symbol for f in new] == ["_drift_stamp"]
-        assert report.exit_code == 1
-
-    def test_wheel_schedule_in_express_callback_is_caught(self):
-        sources = load_tree_sources()
-        anchor = "def _rto_express_fire(self, serial: int) -> None:"
-        assert anchor in sources["kernel/tcp/endpoint.py"]
-        sources["kernel/tcp/endpoint.py"] = sources["kernel/tcp/endpoint.py"].replace(
-            anchor,
-            anchor + "\n        self.engine.schedule(1, self._rto_fire)",
-        )
-        report = run_on(sources)
-        new = [
-            f
-            for f in report.baseline.new
-            if f.rule == "express-wheel-schedule"
-            and f.symbol == "TcpEndpoint._rto_express_fire"
-        ]
-        assert new, "direct wheel scheduling inside the lane callback not caught"
         assert report.exit_code == 1
 
     def test_dropped_slot_assignment_in_frame_fast_path_is_caught(self):
@@ -131,9 +113,14 @@ class TestCliGate:
         out = capsys.readouterr().out
         assert "0 new" in out
 
-        # Against an empty baseline the accepted findings become new again:
-        # the gate must go red.
-        empty = tmp_path / "empty-baseline.json"
-        assert main(["lint", "--baseline", str(empty)]) == 1
+        # A baseline entry that matches no finding is stale: the ratchet
+        # must turn the gate red.
+        stale = tmp_path / "stale-baseline.json"
+        stale.write_text(json.dumps({"version": 1, "findings": [{
+            "rule": "det-wallclock", "path": "src/repro/sim/engine.py",
+            "symbol": "_gone", "message": "fixed long ago",
+            "reason": "kept past its fix",
+        }]}))
+        assert main(["lint", "--baseline", str(stale)]) == 1
         out = capsys.readouterr().out
-        assert "express-wheel-schedule" in out
+        assert "stale baseline" in out

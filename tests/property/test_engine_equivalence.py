@@ -1,13 +1,14 @@
-"""Timer-wheel engine vs a reference heap engine, on random programs.
+"""The engine vs a reference heap engine, on random programs.
 
-The block-wheel engine in ``repro.sim.engine`` promises exactly the semantics
-of a plain (time, schedule-order) binary heap: events fire in nondecreasing
-time, and events sharing a timestamp fire in the order they were scheduled —
-regardless of which wheel level, overflow heap, or freelist-recycled Event
-object serves them. This test interprets randomized programs of
-schedule / cancel / re-arm operations (including scheduling and cancelling
-*during* event callbacks, and delays large enough to land in the overflow
-heap) against both engines and requires identical fire logs.
+The engine in ``repro.sim.engine`` promises exactly the semantics of a plain
+(time, serial) binary heap: entries fire in nondecreasing time, and entries
+sharing a timestamp fire in ticket order — the order they were scheduled,
+or, for an express-lane entry replaying a reserved ticket, the order of the
+reservation — regardless of how buckets, lazy cancellation and compaction
+serve them. This test interprets randomized programs of schedule / cancel /
+re-arm / express-lane operations (including all of them *during* event
+callbacks, and delays up to 2**42 ns) against both engines and requires
+identical fire logs.
 """
 
 import heapq
@@ -35,7 +36,7 @@ class _RefEvent:
 
 
 class _RefEngine:
-    """Minimal binary-heap engine: the semantics the wheel must reproduce."""
+    """Minimal binary-heap engine: the semantics the engine must reproduce."""
 
     def __init__(self):
         self._heap = []
@@ -51,6 +52,17 @@ class _RefEngine:
     def schedule(self, delay, fn):
         return self.schedule_at(self.now + delay, fn)
 
+    def reserve_serial(self):
+        self._seq += 1
+        return self._seq
+
+    def express_at(self, time, fn, arg=None, serial=None):
+        """A lane entry is a push at its (time, serial): a fresh ticket, or
+        the reserved one it replays."""
+        if serial is None:
+            serial = self.reserve_serial()
+        heapq.heappush(self._heap, _RefEvent(time, serial, fn))
+
     def run(self):
         heap = self._heap
         while heap:
@@ -61,14 +73,21 @@ class _RefEngine:
             event.fn()
 
 
-#: Delays spanning every wheel level plus the overflow heap (>2^40 ns).
-_delays = st.integers(min_value=0, max_value=2**42)
-#: What a fired event does: schedule a child (possibly at its own timestamp)
-#: or cancel the oldest still-pending event.
+#: Delays from the same instant up to far beyond any simulated timer, with
+#: tiny ones mixed in so that many entries share a timestamp.
+_tiny = st.integers(min_value=0, max_value=3)
+_delays = st.one_of(_tiny, st.integers(min_value=0, max_value=2**42))
+_short = st.one_of(_tiny, st.integers(min_value=0, max_value=2**20))
+#: What a fired entry does: schedule a child or an express-lane child
+#: (possibly at its own timestamp), cancel the oldest still-pending event,
+#: reserve a ticket, or register a lane entry on the oldest reserved ticket.
 _fire_actions = st.lists(
     st.one_of(
-        st.tuples(st.just("child"), st.integers(min_value=0, max_value=2**20)),
+        st.tuples(st.just("child"), _short),
+        st.tuples(st.just("xchild"), _short),
         st.just(("cancel_oldest",)),
+        st.just(("reserve",)),
+        st.tuples(st.just("xreserved"), _short),
     ),
     max_size=3,
 )
@@ -77,6 +96,9 @@ _ops = st.lists(
         st.tuples(st.just("sched"), _delays, _fire_actions),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
         st.tuples(st.just("resched"), st.integers(min_value=0, max_value=10**6), _delays),
+        st.tuples(st.just("express"), _delays, _fire_actions),
+        st.just(("reserve",)),
+        st.tuples(st.just("xreserved"), _delays, _fire_actions),
     ),
     max_size=50,
 )
@@ -91,16 +113,24 @@ def _interpret(engine, program):
     """
     log = []
     live = {}  # id -> event handle, insertion-ordered
+    reserved = []  # tickets drawn with reserve_serial, oldest first
     next_id = [0]
 
     def apply_action(action):
         if action[0] == "child":
             do_schedule(action[1], ())
+        elif action[0] == "xchild":
+            do_express(action[1], (), None)
+        elif action[0] == "reserve":
+            reserved.append(engine.reserve_serial())
+        elif action[0] == "xreserved":
+            if reserved:
+                do_express(action[1], (), reserved.pop(0))
         elif live:  # cancel_oldest
             eid = next(iter(live))
             live.pop(eid).cancel()
 
-    def do_schedule(delay, actions):
+    def make_fire(actions):
         eid = next_id[0]
         next_id[0] += 1
 
@@ -110,11 +140,26 @@ def _interpret(engine, program):
             for action in actions:
                 apply_action(action)
 
+        return eid, fire
+
+    def do_schedule(delay, actions):
+        eid, fire = make_fire(actions)
         live[eid] = engine.schedule(delay, fire)
+
+    def do_express(delay, actions, serial):
+        fire = make_fire(actions)[1]
+        engine.express_at(engine.now + delay, fire, serial=serial)
 
     for op in program:
         if op[0] == "sched":
             do_schedule(op[1], op[2])
+        elif op[0] == "express":
+            do_express(op[1], op[2], None)
+        elif op[0] == "reserve":
+            apply_action(op)
+        elif op[0] == "xreserved":
+            if reserved:
+                do_express(op[1], op[2], reserved.pop(0))
         elif op[0] == "cancel":
             if live:
                 keys = list(live)
@@ -130,13 +175,13 @@ def _interpret(engine, program):
 
 @given(program=_ops)
 @settings(max_examples=200, deadline=None)
-def test_wheel_matches_reference_heap(program):
-    wheel_log = _interpret(Engine(), program)
+def test_engine_matches_reference_heap(program):
+    engine_log = _interpret(Engine(), program)
     heap_log = _interpret(_RefEngine(), program)
-    assert wheel_log == heap_log
+    assert engine_log == heap_log
 
 
 @given(program=_ops)
 @settings(max_examples=50, deadline=None)
-def test_wheel_is_deterministic_across_runs(program):
+def test_engine_is_deterministic_across_runs(program):
     assert _interpret(Engine(), program) == _interpret(Engine(), program)

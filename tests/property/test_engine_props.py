@@ -159,3 +159,30 @@ def test_compaction_threshold_preserves_pending_count():
     _assert_exact_bookkeeping(engine)
     engine.run()
     assert sorted(fired) == list(range(survivors))
+
+
+def test_compaction_mid_drain_spares_the_draining_bucket():
+    """A compaction triggered from inside a callback must leave the bucket
+    being drained alone: its live tail still fires, in order, and its
+    cancelled tail is counted off as the drain reaches it."""
+    from repro.sim.engine import _COMPACT_MIN_CANCELLED
+
+    engine = Engine()
+    fired = []
+    doomed = [engine.schedule(10, fired.append, "doomed")
+              for _ in range(_COMPACT_MIN_CANCELLED + 10)]
+
+    def cancel_all():
+        victim.cancel()
+        for event in doomed:
+            event.cancel()  # crosses the threshold and compacts mid-drain
+        _assert_exact_bookkeeping(engine)
+
+    engine.schedule(5, cancel_all)
+    engine.schedule(5, fired.append, "first")
+    victim = engine.schedule(5, fired.append, "victim")
+    engine.schedule(5, fired.append, "second")
+    engine.run()
+    assert fired == ["first", "second"]
+    assert engine.pending_events() == 0
+    _assert_exact_bookkeeping(engine)

@@ -1,13 +1,11 @@
-"""Steady-state express lane vs wheel path, on random configs.
+"""Steady-state express lane vs plain events, on random configs.
 
 The express lane (``Engine.express_at`` + the quiescence gate in
-``repro.kernel.tcp.express``) fast-forwards whole ACK-clocked rounds of
-quiescent bulk flows by dispatching CPU job completions and lazily-chased RTO
-deadlines straight off a deadline-sorted side heap, skipping timer-wheel
-insertion and cascade for the events that dominate steady state. The promise
-is *bit-identical results* — every exported metric, every latency reservoir
-sample, every RNG draw — for any configuration, with fewer wheel events
-fired.
+``repro.kernel.tcp.express``) registers CPU job completions and lazily-chased
+RTO deadlines as uncancellable engine entries, so quiescent bulk flows stop
+cancelling and re-arming a timer event per ACK. The promise is *bit-identical
+results* — every exported metric, every latency reservoir sample, every RNG
+draw — for any configuration, with fewer plain events fired.
 
 These tests run each random config with the lane on and off and require
 full observable agreement, plus a clean conservation audit in both modes.
@@ -111,8 +109,8 @@ def test_express_lane_is_observably_identical_two_ways(config):
 
     # With the lane off, nothing may route through it; with it on, steady
     # state should actually use it (every config sustains a bulk flow long
-    # enough for at least one quiescent completion to ride the side heap),
-    # and the wheel fires no more events than without it.
+    # enough for at least one quiescent completion to ride the lane), and
+    # no more plain events fire than without it.
     assert ref_express_fired == 0
     assert express_fired > 0
     assert events <= ref_events

@@ -161,6 +161,10 @@ def test_figure_audit_exits_nonzero_on_violation(capsys, monkeypatch):
     [
         (["--flows", "0"], "num_flows must be >= 1"),
         (["--loss", "2"], "loss_rate must be in [0, 1)"),
+        (["--ring", "-4"], "rx_descriptors must be >= 1"),
+        (["--rx-buffer-kb", "-8"], "rx_buffer_bytes must be >= 1"),
+        (["--pattern", "rpc-incast", "--rpc-kb", "0"], "rpc_size_bytes must be >= 1"),
+        (["--rpc-flows", "-3"], "num_rpc_flows must be >= 0"),
     ],
 )
 def test_run_validation_error_is_one_line_exit_2(capsys, argv, message):

@@ -113,6 +113,24 @@ def test_stop_halts_processing():
     assert fired == ["stop"]
 
 
+def test_stop_mid_instant_keeps_the_rest_for_resumption():
+    engine = Engine()
+    fired = []
+
+    def stopper():
+        fired.append("stop")
+        engine.stop()
+
+    engine.schedule(5, stopper)
+    engine.schedule(5, fired.append, "rest")
+    engine.run()
+    assert fired == ["stop"]
+    assert engine.pending_events() == 1
+    engine.run()
+    assert fired == ["stop", "rest"]
+    assert engine.pending_events() == 0
+
+
 def test_pending_events_counts_noncancelled():
     engine = Engine()
     engine.schedule(1, lambda: None)

@@ -1,9 +1,8 @@
 """Unit tests for the engine's express lane (``express_at``/``reserve_serial``).
 
-The express lane is a deadline-sorted side heap that dispatches entries
-without creating wheel events when they run strictly ahead of all wheel
-traffic, and materializes them into the active 256 ns block — at their
-original (time, serial) position — whenever wheel events share the block.
+Lane entries share the engine's one ``(time, serial)`` order with plain
+events: an entry draws its ticket at registration, or replays one reserved
+earlier, and is counted in ``express_fired`` rather than ``events_fired``.
 These tests pin down the ordering contract the steady-state fast path
 depends on (see DESIGN.md §13 and tests/property/test_express_equivalence.py
 for the end-to-end guarantee).
@@ -23,8 +22,6 @@ def test_express_entry_fires_at_its_time():
     assert engine.now == 500
     assert engine.express_registered == 1
     assert engine.express_fired == 1
-    # Direct dispatch: no wheel event was ever created for it.
-    assert engine.express_materialized == 0
     assert engine.events_fired == 0
 
 
@@ -56,15 +53,14 @@ def test_express_cannot_schedule_in_the_past():
 
 
 def test_same_instant_wheel_and_express_fire_in_registration_order():
-    # A wheel event and an express entry at the same instant must interleave
-    # by their scheduling tickets — exactly as two wheel events would.
+    # A plain event and an express entry at the same instant must interleave
+    # by their scheduling tickets — exactly as two plain events would.
     engine = Engine()
     order = []
     engine.schedule(1000, order.append, "wheel")
     engine.express_at(1000, order.append, "express")
     engine.run()
     assert order == ["wheel", "express"]
-    assert engine.express_materialized == 1  # shared block -> wheel event
 
     engine = Engine()
     order = []
@@ -89,9 +85,9 @@ def test_reserved_serial_restores_legacy_position():
 
 
 def test_express_registered_mid_drain_fires_in_same_pass():
-    # An entry registered from inside a callback, for the very block being
-    # drained, materializes into the active bucket and fires in this pass —
-    # after "second", because it draws its ticket at registration time,
+    # An entry registered from inside a callback, for the very instant being
+    # drained, joins the active bucket and fires in this pass — after
+    # "second", because it draws its ticket at registration time,
     # exactly where a legacy ``schedule(0, ...)`` from inside ``first``
     # would have landed.
     engine = Engine()
@@ -109,8 +105,8 @@ def test_express_registered_mid_drain_fires_in_same_pass():
 
 
 def test_express_ahead_of_wheel_block_dispatches_off_heap():
-    # Entry in a block strictly before any wheel event: direct fire, then the
-    # wheel event runs normally.
+    # Entry strictly before any plain event: it fires first, and each kind is
+    # counted in its own counter.
     engine = Engine()
     order = []
     engine.schedule(10_000, order.append, "wheel")
@@ -119,7 +115,7 @@ def test_express_ahead_of_wheel_block_dispatches_off_heap():
     engine.run()
     assert order == ["express", "wheel"]
     assert engine.express_fired == 1
-    assert engine.events_fired == before + 1  # only the wheel event counted
+    assert engine.events_fired == before + 1  # only the plain event counted
 
 
 def test_run_until_does_not_fire_future_express_entries():

@@ -3,7 +3,7 @@
 
 Two gates against ``benchmarks/baseline_engine.json``:
 
-* **Engine** — the timer-wheel micro-benchmarks (same workloads as
+* **Engine** — the event-queue micro-benchmarks (same workloads as
   ``benchmarks/test_bench_engine.py`` and ``repro bench``), compared by
   *calibration-normalized* throughput. Fails when either path drops more
   than the tolerance (default 25%) below baseline.
@@ -47,8 +47,8 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "base
 #: CPython 3.11, which CI uses. Kept in the tool (not the baseline file) so
 #: ``--update`` can never raise them: lower them by hand with each win.
 MAX_PY_CALLS = {
-    "fig3a": 3_141_608,
-    "fig9a": 2_222_015,
+    "fig3a": 3_041_770,
+    "fig9a": 2_136_545,
 }
 
 #: Allowed fractional wall-time increase of a traced run over the same
@@ -62,8 +62,8 @@ MAX_TRACE_OVERHEAD = 0.50
 
 
 def _time_figure(name: str, express: bool, repeat: int, trace: bool = False):
-    """Best-of-N cold wall time and engine dispatches (wheel events plus
-    express-lane dispatches) for one panel."""
+    """Best-of-N cold wall time and engine dispatches (plain events plus
+    express-lane entries) for one panel."""
     from repro.cli import _run_panel
     from repro.figures import base as figures_base
 
